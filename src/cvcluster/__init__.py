@@ -19,7 +19,6 @@ from cvcluster.gaussian import (
     ComplexUnitary,
     GaussianState,
     SqueezedInputSpec,
-    SymplecticMap,
     apply_unitary,
     combination_variance,
     impure_squeezed_vacuum,
@@ -80,7 +79,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
     "SqueezedInputSpec",
-    "SymplecticMap",
     "UnsupportedGraphError",
     "WitnessReport",
     "analytic_residual_variances",

@@ -25,6 +25,7 @@ from cvcluster.analysis import UnsupportedGraphError
 from cvcluster.scenarios import (
     ConfigError,
     ScenarioConfig,
+    read_config_file,
     run_scenario,
     run_sweep,
     verify_decompositions,
@@ -80,17 +81,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser):
 
 
 def _scenario_config(args) -> ScenarioConfig:
-    data: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read {args.config!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON in {args.config!r}: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config", "expected a JSON object")
+    data = {} if args.config is None else read_config_file(args.config)
     if args.network is not None:
         data["network"] = args.network
     for field in ("squeezing_db", "antisqueezing_db", "loss", "jitter"):

@@ -1,10 +1,14 @@
 """Multimode Gaussian states, passive linear optics, and imperfection channels.
 
-States are covariance-matrix objects in the hbar = 1/2 convention (vacuum
-variance 1/4), with quadratures stacked as (x_1 .. x_n, p_1 .. p_n).  A passive
-network given as a complex unitary U = A + iB on annihilation operators maps to
-the real quadrature transform S = [[A, -B], [B, A]], which is both symplectic
-and orthogonal.
+A state is a mean vector and a covariance factor F; cov = F F^T is derived on
+request, in the hbar = 1/2 convention (vacuum variance 1/4) with quadratures
+stacked as (x_1 .. x_n, p_1 .. p_n).  A passive network given as a complex
+unitary U = A + iB maps to the real quadrature transform S = [[A, -B], [B, A]]
+(symplectic and orthogonal) and sends F to S F; loss and phase jitter scale
+one mode's rows and append two noise columns.  Channel-built states are thus
+physical by construction and are not re-validated; only a caller-supplied
+covariance is checked, once, and factored.  Combination variances are sums of
+squares ||F^T c||^2, accurate even when huge antisqueezed variances cancel.
 
 All objects are immutable after construction and every operation returns a new
 value, so everything here is safe to use from concurrent workers.
@@ -20,8 +24,9 @@ import numpy as np
 # Vacuum quadrature variance in the hbar = 1/2 convention.
 VACUUM_VARIANCE = 0.25
 
-# Constructor-level validation tolerance; produced objects are held to the
-# tighter identity-level tolerances by the test suite.
+# Constructor-level validation tolerance, relative to the largest matrix
+# entry; produced objects are held to the tighter identity-level tolerances
+# by the test suite.
 CONSTRUCTOR_TOL = 1e-8
 
 LN10 = math.log(10.0)
@@ -67,78 +72,65 @@ class ComplexUnitary:
         return ComplexUnitary(self.matrix.conj().T)
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticMap:
-    """A real 2n x 2n quadrature transform satisfying S Omega S^T = Omega."""
+def _factor_covariance(mean: np.ndarray, cov) -> np.ndarray:
+    """Validate a caller-supplied covariance and return F with F F^T = cov.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise ValueError(f"symplectic matrix must be square and even-sized, got {m.shape}")
-        omega = symplectic_form(m.shape[0] // 2)
-        dev = np.max(np.abs(m @ omega @ m.T - omega))
-        if dev > CONSTRUCTOR_TOL:
-            raise ValueError(f"matrix is not symplectic (deviation {dev:.3e})")
-        object.__setattr__(self, "matrix", _read_only(m))
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
+    Tolerances scale with the matrix magnitude, as does the rounding deep
+    squeezing leaves in a physical covariance; the eigendecomposition factor
+    clips eigenvalues that rounding pushed below zero.
+    """
+    cov = np.array(cov, dtype=float)
+    if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
+        raise ValueError(f"mean must be a vector of even length, got shape {mean.shape}")
+    if cov.shape != (mean.size, mean.size):
+        raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError("mean and covariance must be finite")
+    tol = CONSTRUCTOR_TOL * (1.0 + np.max(np.abs(cov)))
+    asym = np.max(np.abs(cov - cov.T))
+    if asym > tol:
+        raise ValueError(f"covariance is not symmetric (deviation {asym:.3e})")
+    cov = (cov + cov.T) / 2.0
+    min_eig = float(np.min(np.linalg.eigvalsh(cov + 0.25j * symplectic_form(mean.size // 2))))
+    if min_eig < -tol:
+        raise ValueError(f"covariance violates the uncertainty relation (min eigenvalue {min_eig:.3e})")
+    w, v = np.linalg.eigh(cov)
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GaussianState:
-    """Mean vector and covariance matrix of n optical modes.
+    """Mean vector and covariance factor of n optical modes.
 
     Attributes:
         mean: length-2n vector of quadrature expectation values,
             ordered (x_1 .. x_n, p_1 .. p_n).
-        cov: real symmetric 2n x 2n covariance matrix in the same ordering.
-        cov_factor: optional 2n x m factor with cov = F F^T.  Operations that
-            act as exact congruences (passive networks, loss) propagate it so
-            that quadrature-combination variances can be evaluated as a sum
-            of squares, immune to the catastrophic cancellation that the
-            plain c^T cov c contraction suffers under strong squeezing.
+        cov_factor: real 2n x m factor F of the covariance, the state itself.
+        cov: the derived, read-only covariance F F^T.
 
-    The covariance matrix must satisfy the uncertainty relation
-    cov + (i/4) Omega >= 0; the vacuum state saturates it with
-    cov = (1/4) I and mean = 0.
+    Channels construct states with ``cov_factor=``; such a factor is
+    physical by construction and is taken as is.  ``GaussianState(mean,
+    cov=...)`` is the one validated entry point: the covariance must be
+    finite, symmetric and satisfy the uncertainty relation
+    cov + (i/4) Omega >= 0, and is factored once.  The vacuum state saturates
+    the relation with cov = (1/4) I and mean = 0.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
-    cov_factor: np.ndarray | None = None
+    cov_factor: np.ndarray
 
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-            raise ValueError(f"mean must be a vector of even length, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
-        asym = np.max(np.abs(cov - cov.T))
-        if asym > CONSTRUCTOR_TOL:
-            raise ValueError(f"covariance is not symmetric (deviation {asym:.3e})")
-        cov = (cov + cov.T) / 2.0
-        n = mean.size // 2
-        herm = cov + 0.25j * symplectic_form(n)
-        min_eig = float(np.min(np.linalg.eigvalsh(herm)))
-        if min_eig < -CONSTRUCTOR_TOL:
-            raise ValueError(f"covariance violates the uncertainty relation (min eigenvalue {min_eig:.3e})")
-        if self.cov_factor is not None:
-            factor = np.array(self.cov_factor, dtype=float)
-            if factor.ndim != 2 or factor.shape[0] != mean.size:
-                raise ValueError(f"factor shape {factor.shape} does not match {mean.size} quadratures")
-            dev = np.max(np.abs(factor @ factor.T - cov))
-            if dev > CONSTRUCTOR_TOL * (1.0 + np.max(np.abs(cov))):
-                raise ValueError(f"factor does not reproduce the covariance (deviation {dev:.3e})")
-            object.__setattr__(self, "cov_factor", _read_only(factor))
+    def __init__(self, mean, cov=None, *, cov_factor=None):
+        if (cov is None) == (cov_factor is None):
+            raise ValueError("a state needs exactly one of cov and cov_factor")
+        mean = np.array(mean, dtype=float)
+        factor = _factor_covariance(mean, cov) if cov_factor is None else np.array(cov_factor, dtype=float)
         object.__setattr__(self, "mean", _read_only(mean))
-        object.__setattr__(self, "cov", _read_only(cov))
+        object.__setattr__(self, "cov_factor", _read_only(factor))
+
+    @property
+    def cov(self) -> np.ndarray:
+        f = self.cov_factor
+        return _read_only(f @ f.T)
 
     @property
     def n_modes(self) -> int:
@@ -189,11 +181,7 @@ def squeezing_db_to_r(squeezing_db: float) -> float:
 
 
 def _diagonal_state(variances: np.ndarray) -> GaussianState:
-    return GaussianState(
-        mean=np.zeros(variances.size),
-        cov=np.diag(variances),
-        cov_factor=np.diag(np.sqrt(variances)),
-    )
+    return GaussianState(mean=np.zeros(variances.size), cov_factor=np.diag(np.sqrt(variances)))
 
 
 def vacuum(n: int) -> GaussianState:
@@ -237,49 +225,39 @@ def tensor(states: list[GaussianState]) -> GaussianState:
     """Compose independent states into one, preserving mode order.
 
     The result keeps the global (x..., p...) ordering: the x block is the
-    direct sum of the parts' x blocks, likewise for p.
+    direct sum of the parts' x blocks, likewise for p, and the factor is the
+    block-diagonal union of the parts' factor columns.
     """
     if not states:
         raise ValueError("tensor requires at least one state")
     n = sum(s.n_modes for s in states)
     mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
-    factors = [s.cov_factor for s in states]
-    width = sum(f.shape[1] for f in factors) if all(f is not None for f in factors) else None
-    factor = np.zeros((2 * n, width)) if width is not None else None
+    factor = np.zeros((2 * n, sum(s.cov_factor.shape[1] for s in states)))
     offset = 0
     col = 0
     for s in states:
         k = s.n_modes
         idx = np.concatenate([np.arange(offset, offset + k), np.arange(n + offset, n + offset + k)])
         mean[idx] = s.mean
-        cov[np.ix_(idx, idx)] = s.cov
-        if factor is not None:
-            cols = s.cov_factor.shape[1]
-            factor[idx, col:col + cols] = s.cov_factor
-            col += cols
+        cols = s.cov_factor.shape[1]
+        factor[idx, col:col + cols] = s.cov_factor
+        col += cols
         offset += k
-    return GaussianState(mean=mean, cov=cov, cov_factor=factor)
+    return GaussianState(mean=mean, cov_factor=factor)
 
 
-def unitary_to_symplectic(unitary: ComplexUnitary) -> SymplecticMap:
+def unitary_to_symplectic(unitary: ComplexUnitary) -> np.ndarray:
     """Quadrature image of a passive unitary: U = A + iB gives S = [[A, -B], [B, A]]."""
-    m = unitary.matrix
-    dev = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-    if dev > CONSTRUCTOR_TOL:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-    a, b = m.real, m.imag
-    return SymplecticMap(np.block([[a, -b], [b, a]]))
+    a, b = unitary.matrix.real, unitary.matrix.imag
+    return np.block([[a, -b], [b, a]])
 
 
 def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianState:
-    """Propagate a state through a passive network: cov -> S cov S^T, mean -> S mean."""
+    """Propagate a state through a passive network: F -> S F, mean -> S mean."""
     if unitary.n_modes != state.n_modes:
         raise ValueError(f"unitary acts on {unitary.n_modes} modes but state has {state.n_modes}")
-    s = unitary_to_symplectic(unitary).matrix
-    cov = s @ state.cov @ s.T
-    factor = None if state.cov_factor is None else s @ state.cov_factor
-    return GaussianState(mean=s @ state.mean, cov=(cov + cov.T) / 2.0, cov_factor=factor)
+    s = unitary_to_symplectic(unitary)
+    return GaussianState(mean=s @ state.mean, cov_factor=s @ state.cov_factor)
 
 
 def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
@@ -288,12 +266,22 @@ def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
     return mode - 1, state.n_modes + mode - 1
 
 
+def _mode_channel(state: GaussianState, ix: int, ip: int, gain: float, noise: np.ndarray) -> GaussianState:
+    """Scale one mode's rows of the mean and factor by `gain` and append the 2 x 2 `noise` factor."""
+    scale = np.ones(2 * state.n_modes)
+    scale[[ix, ip]] = gain
+    cols = np.zeros((2 * state.n_modes, 2))
+    cols[[ix, ip]] = noise
+    return GaussianState(mean=state.mean * scale, cov_factor=np.hstack([scale[:, None] * state.cov_factor, cols]))
+
+
 def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Mix one mode with vacuum on a beam splitter of transmissivity eta.
 
-    The mode's rows and columns scale by sqrt(eta) and its diagonal block
-    gains (1 - eta)/4; eta = 1 is the identity, eta = 0 replaces the mode
-    by vacuum and removes all correlations to it.
+    The mode's factor rows scale by sqrt(eta) and the admixed vacuum adds two
+    factor columns with variance (1 - eta)/4 on its x and p; eta = 1 is the
+    identity, eta = 0 replaces the mode by vacuum and removes all
+    correlations to it.
 
     Args:
         state: input state.
@@ -303,27 +291,19 @@ def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     ix, ip = _mode_indices(state, mode)
-    scale = np.ones(2 * state.n_modes)
-    scale[[ix, ip]] = math.sqrt(eta)
-    cov = state.cov * np.outer(scale, scale)
-    cov[ix, ix] += (1.0 - eta) * VACUUM_VARIANCE
-    cov[ip, ip] += (1.0 - eta) * VACUUM_VARIANCE
-    factor = None
-    if state.cov_factor is not None:
-        # the admixed vacuum contributes two fresh factor columns
-        vac_cols = np.zeros((2 * state.n_modes, 2))
-        vac_cols[ix, 0] = vac_cols[ip, 1] = math.sqrt((1.0 - eta) * VACUUM_VARIANCE)
-        factor = np.hstack([scale[:, None] * state.cov_factor, vac_cols])
-    return GaussianState(mean=state.mean * scale, cov=cov, cov_factor=factor)
+    return _mode_channel(state, ix, ip, math.sqrt(eta), math.sqrt((1.0 - eta) * VACUUM_VARIANCE) * np.eye(2))
 
 
 def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState:
     """Average one mode over a random phase-space rotation theta ~ N(0, sigma^2).
 
-    Uses the closed-form Gaussian moments E[cos theta] = e^{-sigma^2/2},
-    E[cos 2 theta] = e^{-2 sigma^2}, E[sin theta] = E[sin 2 theta] = 0.  The
-    result is the exact covariance of the rotation-averaged mixture, including
-    the mean-spread contribution when the mode is displaced.
+    With R = c1 I + D, c1 = E[cos theta] = e^{-sigma^2/2}, the mode's rows
+    scale by c1 and two appended columns factor N = E[D G D^T], where
+    G = F_m F_m^T + mu_m mu_m^T is the mode's second-moment matrix (so a
+    displaced mode also picks up the spread of its rotated mean):
+    N = a^2 G + b^2 J G J^T with J = [[0, -1], [1, 0]],
+    a^2 = E[cos^2] - c1^2 = expm1(-sigma^2)^2 / 2 and
+    b^2 = E[sin^2] = -expm1(-2 sigma^2) / 2, exact at small sigma.
 
     Args:
         state: input state.
@@ -335,28 +315,20 @@ def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState
     if sigma == 0.0:
         return state
     ix, ip = _mode_indices(state, mode)
-    c1 = math.exp(-sigma * sigma / 2.0)
-    c2 = math.exp(-2.0 * sigma * sigma)
-
-    # Correlations to other modes shrink by E[cos theta].
-    scale = np.ones(2 * state.n_modes)
-    scale[[ix, ip]] = c1
-    cov = state.cov * np.outer(scale, scale)
-
-    vxx, vpp, vxp = state.cov[ix, ix], state.cov[ip, ip], state.cov[ix, ip]
-    cov[ix, ix] = 0.5 * (1 + c2) * vxx + 0.5 * (1 - c2) * vpp
-    cov[ip, ip] = 0.5 * (1 - c2) * vxx + 0.5 * (1 + c2) * vpp
-    cov[ix, ip] = cov[ip, ix] = c2 * vxp
-
-    mx, mp = state.mean[ix], state.mean[ip]
-    if mx != 0.0 or mp != 0.0:
-        # Spread of the rotated mean over the phase distribution.
-        cov[ix, ix] += (0.5 * (1 + c2) - c1 * c1) * mx * mx + 0.5 * (1 - c2) * mp * mp
-        cov[ip, ip] += 0.5 * (1 - c2) * mx * mx + (0.5 * (1 + c2) - c1 * c1) * mp * mp
-        spread_xp = (c2 - c1 * c1) * mx * mp
-        cov[ix, ip] += spread_xp
-        cov[ip, ix] += spread_xp
-    return GaussianState(mean=state.mean * scale, cov=cov)
+    s2 = sigma * sigma
+    rows = state.cov_factor[[ix, ip]]
+    mu = state.mean[[ix, ip]]
+    g = rows @ rows.T + np.outer(mu, mu)
+    a2 = 0.5 * math.expm1(-s2) ** 2
+    b2 = -0.5 * math.expm1(-2.0 * s2)
+    nxx = a2 * g[0, 0] + b2 * g[1, 1]
+    npp = a2 * g[1, 1] + b2 * g[0, 0]
+    nxp = (a2 - b2) * g[0, 1]
+    # lower Cholesky factor of the 2 x 2 block N, clipped against rounding
+    lxx = math.sqrt(nxx)
+    lpx = nxp / lxx if lxx > 0.0 else 0.0
+    lpp = math.sqrt(max(npp - lpx * lpx, 0.0))
+    return _mode_channel(state, ix, ip, math.exp(-s2 / 2.0), np.array([[lxx, 0.0], [lpx, lpp]]))
 
 
 def phase_jitter_mc(
@@ -369,7 +341,8 @@ def phase_jitter_mc(
     """Monte-Carlo estimate of :func:`phase_jitter` by sampling rotations.
 
     Debug and cross-check path only; it applies explicit rotation symplectics
-    for `samples` draws of theta and averages the resulting moments.
+    for `samples` draws of theta and averages the resulting moments into a
+    covariance, which enters a new state through the validated ``cov=`` path.
     """
     if not (sigma >= 0.0 and math.isfinite(sigma)):
         raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
@@ -409,18 +382,15 @@ def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:
     """Variance of the quadrature combination sum_k c_k q_k, i.e. c^T cov c.
 
     The coefficient vector follows the (x..., p...) ordering and the result
-    does not depend on the state's mean.  When the state carries a covariance
-    factor the quadratic form is evaluated as ||F^T c||^2, which stays
-    accurate even when huge antisqueezed variances cancel out of the
-    combination.
+    does not depend on the state's mean.  It is evaluated as ||F^T c||^2,
+    which stays accurate even when huge antisqueezed variances cancel out of
+    the combination.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (2 * state.n_modes,):
         raise ValueError(f"coefficient vector has length {c.size}, expected {2 * state.n_modes}")
-    if state.cov_factor is not None:
-        w = state.cov_factor.T @ c
-        return float(w @ w)
-    return float(c @ state.cov @ c)
+    w = state.cov_factor.T @ c
+    return float(w @ w)
 
 
 def variance_to_db(v: float, v_ref: float) -> float:

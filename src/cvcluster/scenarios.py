@@ -240,16 +240,23 @@ class ScenarioConfig:
         return len(self.squeezing_db)
 
 
-def load_config(path) -> ScenarioConfig:
-    """Load a config from a JSON file in the report's config-section format."""
+def read_config_file(path) -> dict:
+    """Read a JSON config file into a dict; any failure is a ConfigError on `config`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"invalid JSON in {path!r}: {exc}") from None
-    return ScenarioConfig.from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config", f"expected a JSON object in {path!r}, got {type(data).__name__}")
+    return data
+
+
+def load_config(path) -> ScenarioConfig:
+    """Load a config from a JSON file in the report's config-section format."""
+    return ScenarioConfig.from_dict(read_config_file(path))
 
 
 def _resolve_network(cfg: ScenarioConfig) -> tuple[ComplexUnitary, GraphSpec | None]:

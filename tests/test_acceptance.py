@@ -201,7 +201,7 @@ def test_criterion_7_property_suite():
     ]
     symplectic_dev = max(
         float(np.max(np.abs(s @ omega @ s.T - omega)))
-        for s in (unitary_to_symplectic(u).matrix for u in constructed)
+        for s in (unitary_to_symplectic(u) for u in constructed)
     )
 
     uncertainty_floor = 0.0

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,19 @@ class TestSimulate:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["squeezing_db"] == [-3.0] * 4
 
+    @pytest.mark.parametrize("argv", [
+        ("--network", "linear4", "--squeezing-db=-82"),
+        ("--network", "tshape4", "--squeezing-db=-85"),
+        ("--network", "tshape4", "--squeezing-db=-90", "--jitter", "1e-7"),
+        # Monte-Carlo jitter enters its averaged covariance through the validated path
+        ("--network", "linear4", "--squeezing-db=-82", "--jitter", "0.01", "--jitter-mc", "1000", "1"),
+    ])
+    def test_deep_squeezing_reports_finite_levels(self, capsys, argv):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--format", "json")
+        assert code == EXIT_OK, err
+        levels = [node["level_db"] for node in json.loads(out)["nullifiers"]["nodes"]]
+        assert len(levels) == 4 and all(math.isfinite(v) for v in levels)
+
     def test_jitter_mc_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--network", "linear4", "--squeezing-db=-6",
@@ -98,6 +112,18 @@ class TestErrorPaths:
         )
         assert code == EXIT_UNSUPPORTED_GRAPH
         assert err.strip() == "no witness pairing is defined for graph 'custom'"
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff\xfe{}"],
+                             ids=["missing", "invalid-json", "not-an-object", "not-utf8"])
+    def test_bad_config_file(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: config: ")
 
     def test_bad_netlist_path(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--network", "/does/not/exist.net")

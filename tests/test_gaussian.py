@@ -128,15 +128,15 @@ class TestTensor:
 class TestUnitaryToSymplectic:
     def test_identity(self):
         s = unitary_to_symplectic(ComplexUnitary(np.eye(3)))
-        assert np.array_equal(s.matrix, np.eye(6))
+        assert np.array_equal(s, np.eye(6))
 
     def test_all_mode_fourier(self):
         s = unitary_to_symplectic(ComplexUnitary(1j * np.eye(2)))
         expected = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-        assert np.array_equal(s.matrix, expected)
+        assert np.array_equal(s, expected)
 
     def test_linear_network_is_symplectic(self):
-        s = unitary_to_symplectic(linear_cluster_unitary()).matrix
+        s = unitary_to_symplectic(linear_cluster_unitary())
         omega = symplectic_form(4)
         assert np.max(np.abs(s @ omega @ s.T - omega)) < TOL
 
@@ -245,6 +245,12 @@ class TestPhaseJitter:
         assert np.allclose(sampled.cov, closed.cov, rtol=2e-3, atol=2e-3)
         assert np.allclose(sampled.mean, closed.mean, atol=2e-3)
 
+    def test_underflowing_sigma_is_identity(self):
+        # sigma^2 underflows to 0, so the noise block is exactly zero
+        state = squeezed_vacuum(0.8)
+        out = phase_jitter(state, 1, 1e-170)
+        assert np.array_equal(out.cov, state.cov)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             phase_jitter(vacuum(1), 1, -0.1)
@@ -305,6 +311,20 @@ class TestStateValidation:
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(ValueError, match="uncertainty"):
             GaussianState(mean=np.zeros(2), cov=0.1 * np.eye(2))
+
+    def test_deep_squeezed_covariance_accepted_and_factored(self):
+        # entries near 1e8 carry rounding far above an absolute 1e-8, and the
+        # smallest eigenvalues of cov fall below that rounding
+        deep = cluster_state("tshape4", [squeezing_db_to_r(-90.0)] * 4)
+        state = GaussianState(mean=np.zeros(8), cov=deep.cov)
+        scale = np.max(np.abs(deep.cov))
+        assert np.max(np.abs(state.cov - deep.cov)) < 1e-14 * scale
+
+    def test_needs_exactly_one_covariance_form(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            GaussianState(mean=np.zeros(2))
+        with pytest.raises(ValueError, match="exactly one"):
+            GaussianState(mean=np.zeros(2), cov=0.25 * np.eye(2), cov_factor=0.5 * np.eye(2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
