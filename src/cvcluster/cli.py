@@ -88,23 +88,13 @@ def _scenario_config(args) -> ScenarioConfig:
         value = getattr(args, field)
         if value is not None:
             data[field] = _parse_values(field, value)
-    if args.loss_placement is not None:
-        data["loss_placement"] = args.loss_placement
-    if args.output_format is not None:
-        data["output_format"] = args.output_format
-    if args.witness is not None:
-        data["witness"] = args.witness
+    for field in ("loss_placement", "output_format", "witness", "verify_decompositions"):
+        if getattr(args, field) is not None:
+            data[field] = getattr(args, field)
     if args.graph_edges is not None:
         data["graph_edges"] = _parse_edges(args.graph_edges)
-    if args.verify_decompositions is not None:
-        data["verify_decompositions"] = args.verify_decompositions
     if args.jitter_mc is not None:
         data["jitter_mc"] = list(args.jitter_mc)
-    if "network" not in data:
-        raise ConfigError("network", "required (pass --network or provide it in --config)")
-    if "squeezing_db" in data and "antisqueezing_db" not in data:
-        s = data["squeezing_db"]
-        data["antisqueezing_db"] = [-v for v in s] if isinstance(s, list) else -s
     return ScenarioConfig.from_dict(data)
 
 

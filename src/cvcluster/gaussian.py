@@ -31,6 +31,13 @@ CONSTRUCTOR_TOL = 1e-8
 
 LN10 = math.log(10.0)
 
+# Largest accepted |dB| of a squeezing or antisqueezing level.  The input
+# variances 0.25 * 10^(+-level/10) overflow a double from about 3082 dB; at
+# 3000 dB the largest stays a factor of about 7e8 below the overflow, room
+# for the sums the channels and analysis form from it, and the squeezed
+# variance stays a normal (not subnormal) double.
+LEVEL_LIMIT_DB = 3000.0
+
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Canonical form Omega = [[0, I], [-I, 0]] in (x..., p...) ordering."""
@@ -145,10 +152,10 @@ class SqueezedInputSpec:
     """Single-mode squeezed-vacuum levels in dB relative to vacuum.
 
     Attributes:
-        squeezing_db: p-quadrature variance level, <= 0.
-        antisqueezing_db: x-quadrature variance level, >= 0.  Physicality
-            requires antisqueezing_db >= -squeezing_db; a pure state has
-            exactly antisqueezing_db = -squeezing_db.
+        squeezing_db: p-quadrature variance level, in [-LEVEL_LIMIT_DB, 0].
+        antisqueezing_db: x-quadrature variance level, in [0, LEVEL_LIMIT_DB].
+            Physicality requires antisqueezing_db >= -squeezing_db; a pure
+            state has exactly antisqueezing_db = -squeezing_db.
         pure: marks the pure case; enforced exactly.
     """
 
@@ -160,10 +167,10 @@ class SqueezedInputSpec:
         s, a = self.squeezing_db, self.antisqueezing_db
         if not (math.isfinite(s) and math.isfinite(a)):
             raise ValueError("squeezing levels must be finite")
-        if s > 0:
-            raise ValueError(f"squeezing_db must be <= 0, got {s}")
-        if a < 0:
-            raise ValueError(f"antisqueezing_db must be >= 0, got {a}")
+        if not -LEVEL_LIMIT_DB <= s <= 0:
+            raise ValueError(f"squeezing_db must lie in [-{LEVEL_LIMIT_DB}, 0], got {s}")
+        if not 0 <= a <= LEVEL_LIMIT_DB:
+            raise ValueError(f"antisqueezing_db must lie in [0, {LEVEL_LIMIT_DB}], got {a}")
         if self.pure:
             if a != -s:
                 raise ValueError(f"pure state requires antisqueezing_db == -squeezing_db, got {a} != {-s}")

@@ -27,6 +27,11 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT5 = math.sqrt(5.0)
 _SQRT10 = math.sqrt(10.0)
 
+# Largest `MODES <n>` a netlist may declare.  Every element and the network
+# product are dense n x n complex matrices, so the header alone would
+# otherwise set the memory a run asks for (16 n^2 bytes per matrix).
+MAX_NETLIST_MODES = 64
+
 _ONE_MODE_KINDS = ("F", "Finv")
 _TWO_MODE_KINDS = ("BS+", "BS-", "SWAP")
 
@@ -232,7 +237,7 @@ def parse_netlist(text: str) -> NetworkProgram:
     """Parse the netlist format emitted by :func:`emit_netlist`.
 
     Blank lines and lines starting with '#' are ignored.  The first
-    significant line must be `MODES <n>`.
+    significant line must be `MODES <n>` with n at most `MAX_NETLIST_MODES`.
     """
     n_modes = None
     elements = []
@@ -248,6 +253,8 @@ def parse_netlist(text: str) -> NetworkProgram:
                 n_modes = int(fields[1])
             except ValueError:
                 raise ValueError(f"netlist line {lineno}: bad mode count {fields[1]!r}") from None
+            if n_modes > MAX_NETLIST_MODES:
+                raise ValueError(f"netlist line {lineno}: {n_modes} modes exceed the cap of {MAX_NETLIST_MODES}")
             continue
         kind = fields[0]
         try:

@@ -31,6 +31,7 @@ from cvcluster.analysis import (
     nullifier_report,
 )
 from cvcluster.gaussian import (
+    LEVEL_LIMIT_DB,
     ComplexUnitary,
     SqueezedInputSpec,
     apply_unitary,
@@ -58,19 +59,8 @@ NETWORK_UNITARIES = {
     "tshape4": tshape_cluster_unitary,
 }
 
-_CONFIG_FIELDS = (
-    "network",
-    "squeezing_db",
-    "antisqueezing_db",
-    "loss",
-    "loss_placement",
-    "jitter",
-    "output_format",
-    "witness",
-    "graph_edges",
-    "verify_decompositions",
-    "jitter_mc",
-)
+# Per-mode fields and the value each mode takes when the field is omitted.
+_PER_MODE_DEFAULTS = {"squeezing_db": 0.0, "antisqueezing_db": 0.0, "loss": 1.0, "jitter": 0.0}
 
 
 class ConfigError(ValueError):
@@ -81,35 +71,41 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _per_mode(field: str, value, n_modes: int) -> tuple[float, ...]:
-    """Expand a scalar to n modes, or validate a length-n sequence."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),) * n_modes
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_program(path: str):
+    """Parse a netlist file; a missing or malformed file is a ConfigError on `network`."""
     try:
-        values = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a number or a sequence of numbers, got {value!r}") from None
-    if len(values) != n_modes:
-        raise ConfigError(field, f"expected {n_modes} per-mode values, got {len(values)}")
-    return values
+        return load_netlist(path)
+    except OSError as exc:
+        raise ConfigError("network", f"cannot read netlist {path!r}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError("network", str(exc)) from None
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run.
 
-    Per-mode fields (`squeezing_db`, `antisqueezing_db`, `loss`, `jitter`)
-    hold one value per network mode.  `witness` may be None for the default
-    (on for built-in networks, off for netlists).  `graph_edges` assigns a
-    cluster graph to a netlist network; built-in networks fix their own.
+    Construction is the one place where fields are defaulted, converted and
+    checked, raising `ConfigError` with the field path.  Per-mode fields
+    (`squeezing_db`, `antisqueezing_db`, `loss`, `jitter`) take a scalar or
+    one value per mode and are stored as float tuples; omitted ones are
+    0 dB, eta 1 and sigma 0, but an omitted `antisqueezing_db` mirrors a given
+    `squeezing_db` (pure inputs).  Built-in networks have 4 modes; a netlist
+    has as many as the first per-mode list, or as its `MODES` header.
+    `witness` None means on for built-in networks, off for netlists.
+    `graph_edges` gives a netlist its cluster graph.
     """
 
     network: str
-    squeezing_db: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
-    antisqueezing_db: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
-    loss: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
+    squeezing_db: tuple[float, ...] = None
+    antisqueezing_db: tuple[float, ...] = None
+    loss: tuple[float, ...] = None
     loss_placement: str = "post"
-    jitter: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
+    jitter: tuple[float, ...] = None
     output_format: str = "text"
     witness: bool | None = None
     graph_edges: tuple[tuple[int, int], ...] | None = None
@@ -119,25 +115,43 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.network, str) or not self.network:
             raise ConfigError("network", f"expected a network name or netlist path, got {self.network!r}")
-        n = len(self.squeezing_db)
-        if self.network in NETWORK_UNITARIES and n != 4:
-            raise ConfigError("squeezing_db", f"network {self.network} has 4 modes, got {n} values")
-        for field in ("squeezing_db", "antisqueezing_db", "loss", "jitter"):
-            raw = getattr(self, field)
+        raw = {field: getattr(self, field) for field in _PER_MODE_DEFAULTS}
+        for field, value in raw.items():
+            if field == "antisqueezing_db" and value is None and raw["squeezing_db"] is not None:
+                s = raw["squeezing_db"]
+                try:
+                    value = [-v for v in s] if isinstance(s, list) else -s
+                except TypeError:
+                    raise ConfigError("squeezing_db", f"expected a number or a sequence of numbers, got {s!r}") from None
+            if value is not None and not _is_scalar(value):
+                try:
+                    value = list(value)
+                except TypeError:
+                    raise ConfigError(field, f"expected a number or a sequence of numbers, got {value!r}") from None
+            raw[field] = value
+        if self.network in NETWORK_UNITARIES:
+            n = 4
+        else:
+            n = next((len(v) for v in raw.values() if isinstance(v, list)), None)
+            if n is None:
+                n = _load_program(self.network).n_modes
+        for field, default in _PER_MODE_DEFAULTS.items():
+            value = raw[field]
+            items = value if isinstance(value, list) else [default if value is None else value] * n
+            if len(items) != n:
+                raise ConfigError(field, f"expected one value per mode ({n} modes), got {len(items)}")
             try:
-                values = tuple(float(v) for v in raw)
-            except (TypeError, ValueError):
-                raise ConfigError(field, f"expected per-mode numbers, got {raw!r}") from None
-            if len(values) != n:
-                raise ConfigError(field, f"expected {n} per-mode values, got {len(values)}")
+                values = tuple(float(v) for v in items)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(field, f"expected a number or a sequence of numbers, got {value!r}") from None
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(field, f"values must be finite numbers, got {values!r}")
             object.__setattr__(self, field, values)
         for i, (s, a) in enumerate(zip(self.squeezing_db, self.antisqueezing_db)):
-            if s > 0:
-                raise ConfigError(f"squeezing_db[{i}]", f"must be <= 0 dB, got {s}")
-            if a < 0:
-                raise ConfigError(f"antisqueezing_db[{i}]", f"must be >= 0 dB, got {a}")
+            if not -LEVEL_LIMIT_DB <= s <= 0:
+                raise ConfigError(f"squeezing_db[{i}]", f"must lie in [-{LEVEL_LIMIT_DB}, 0] dB, got {s}")
+            if not 0 <= a <= LEVEL_LIMIT_DB:
+                raise ConfigError(f"antisqueezing_db[{i}]", f"must lie in [0, {LEVEL_LIMIT_DB}] dB, got {a}")
             if a < -s:
                 raise ConfigError(f"antisqueezing_db[{i}]", f"unphysical: {a} dB is below -squeezing_db = {-s} dB")
         for i, eta in enumerate(self.loss):
@@ -157,68 +171,43 @@ class ScenarioConfig:
                 raise ConfigError("graph_edges", "built-in networks define their own graph")
             try:
                 edges = tuple(tuple(int(v) for v in e) for e in self.graph_edges)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError("graph_edges", f"expected a list of node pairs, got {self.graph_edges!r}") from None
             if any(len(e) != 2 for e in edges):
                 raise ConfigError("graph_edges", f"expected a list of node pairs, got {self.graph_edges!r}")
+            try:
+                GraphSpec(n, frozenset(edges))
+            except ValueError as exc:
+                raise ConfigError("graph_edges", str(exc)) from None
             object.__setattr__(self, "graph_edges", edges)
         if not isinstance(self.verify_decompositions, bool):
             raise ConfigError("verify_decompositions", f"expected a boolean, got {self.verify_decompositions!r}")
         if self.jitter_mc is not None:
             try:
                 samples, seed = (int(v) for v in self.jitter_mc)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError("jitter_mc", f"expected [samples, seed], got {self.jitter_mc!r}") from None
             if samples < 1:
                 raise ConfigError("jitter_mc", f"sample count must be >= 1, got {samples}")
+            if seed < 0:
+                raise ConfigError("jitter_mc", f"seed must be >= 0, got {seed}")
             object.__setattr__(self, "jitter_mc", (samples, seed))
 
     @classmethod
-    def create(cls, network: str, n_modes: int | None = None, **kwargs) -> "ScenarioConfig":
-        """Build a config, expanding scalar per-mode fields.
-
-        The mode count is 4 for built-in networks; for netlists it is taken
-        from any explicit per-mode list, falling back to reading the file.
-        """
-        if n_modes is None:
-            if network in NETWORK_UNITARIES:
-                n_modes = 4
-            else:
-                for field in ("squeezing_db", "antisqueezing_db", "loss", "jitter"):
-                    value = kwargs.get(field)
-                    if value is not None and not isinstance(value, (int, float)):
-                        n_modes = len(value)
-                        break
-                else:
-                    try:
-                        n_modes = load_netlist(network).n_modes
-                    except OSError as exc:
-                        raise ConfigError("network", f"cannot read netlist {network!r}: {exc}") from None
-                    except ValueError as exc:
-                        raise ConfigError("network", str(exc)) from None
-        for field in ("squeezing_db", "antisqueezing_db", "loss", "jitter"):
-            if field in kwargs and kwargs[field] is not None:
-                kwargs[field] = _per_mode(field, kwargs[field], n_modes)
-            else:
-                default = 1.0 if field == "loss" else 0.0
-                kwargs[field] = (default,) * n_modes
-        if kwargs.get("graph_edges") is not None:
-            kwargs["graph_edges"] = tuple(tuple(e) for e in kwargs["graph_edges"])
-        if kwargs.get("jitter_mc") is not None:
-            kwargs["jitter_mc"] = tuple(kwargs["jitter_mc"])
+    def create(cls, network: str, **kwargs) -> "ScenarioConfig":
+        """Build a config; the same as calling the constructor."""
         return cls(network=network, **kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config", f"expected an object, got {type(data).__name__}")
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
         if "network" not in data:
             raise ConfigError("network", "required field is missing")
-        kwargs = {k: v for k, v in data.items() if k != "network"}
-        return cls.create(data["network"], **kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return {
@@ -260,24 +249,17 @@ def load_config(path) -> ScenarioConfig:
 
 
 def _resolve_network(cfg: ScenarioConfig) -> tuple[ComplexUnitary, GraphSpec | None]:
-    """Turn the config's network field into a unitary and (maybe) a graph."""
+    """Turn the config's network field into a unitary and (maybe) a graph.
+
+    The config is checked; what is left to fail is the content of a netlist
+    file: it is missing, does not parse, or its mode count does not match.
+    """
     if cfg.network in NETWORK_UNITARIES:
         return NETWORK_UNITARIES[cfg.network](), graph_by_name(cfg.network)
-    try:
-        program = load_netlist(cfg.network)
-    except OSError as exc:
-        raise ConfigError("network", f"cannot read netlist {cfg.network!r}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError("network", str(exc)) from None
-    unitary = program_matrix(program)
+    unitary = program_matrix(_load_program(cfg.network))
     if unitary.n_modes != cfg.n_modes:
         raise ConfigError("squeezing_db", f"netlist has {unitary.n_modes} modes, config has {cfg.n_modes} values")
-    graph = None
-    if cfg.graph_edges is not None:
-        try:
-            graph = GraphSpec(unitary.n_modes, frozenset(cfg.graph_edges), "custom")
-        except ValueError as exc:
-            raise ConfigError("graph_edges", str(exc)) from None
+    graph = None if cfg.graph_edges is None else GraphSpec(unitary.n_modes, frozenset(cfg.graph_edges), "custom")
     return unitary, graph
 
 
@@ -489,15 +471,17 @@ class ScenarioReport:
         return self.to_json() if self.config.output_format == "json" else self.to_text()
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
+def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
     """Simulate one scenario: inputs, channels, network, and analysis.
 
     Loss is applied per mode before or after the network according to
     `loss_placement`; phase jitter always acts on the network outputs.
     The run is deterministic, including the Monte-Carlo jitter debug path,
-    which derives one seed per mode from the configured seed.
+    which derives one seed per mode from the configured seed.  `_network` is
+    the (unitary, graph) pair `_resolve_network` gives for `cfg`, passed by
+    `run_sweep` so that a sweep resolves its network once, not per point.
     """
-    unitary, graph = _resolve_network(cfg)
+    unitary, graph = _resolve_network(cfg) if _network is None else _network
     specs = [
         SqueezedInputSpec(squeezing_db=s, antisqueezing_db=a, pure=(a == -s))
         for s, a in zip(cfg.squeezing_db, cfg.antisqueezing_db)
@@ -609,8 +593,10 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         raise ConfigError("axis", f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ConfigError("steps", f"need at least one grid point, got {steps!r}")
-    _resolve_network(cfg)
-    if cfg.network not in NETWORK_UNITARIES and cfg.graph_edges is None:
+    if not math.isfinite(stop - start):
+        raise ConfigError("start", f"sweep bounds must be finite with a finite span, got {start!r} to {stop!r}")
+    network = _resolve_network(cfg)
+    if network[1] is None:
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
     reports = []
@@ -622,5 +608,5 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
                 for s, a in zip(cfg.squeezing_db, cfg.antisqueezing_db)
             )
         point = dataclasses.replace(cfg, **overrides)
-        reports.append(run_scenario(point))
+        reports.append(run_scenario(point, network))
     return SweepResult(axis=axis, values=values, reports=tuple(reports))

@@ -125,6 +125,23 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err.startswith("config error: config: ")
 
+    @pytest.mark.parametrize("argv,field", [
+        (("--network", "linear4", "--squeezing-db=-3100"), "squeezing_db[0]"),
+        (("--network", "linear4", "--antisqueezing-db=3100"), "antisqueezing_db[0]"),
+        (("--network", "linear4", "--squeezing-db=-6", "--jitter", "0.01", "--jitter-mc", "100", "-5"), "jitter_mc"),
+    ])
+    def test_rejected_at_the_config_boundary(self, capsys, argv, field):
+        code, _, err = run_cli(capsys, "simulate", *argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {field}: ")
+
+    def test_netlist_mode_count_capped(self, capsys, tmp_path):
+        path = tmp_path / "huge.net"
+        path.write_text("MODES 100000\nF 1\n")
+        code, _, err = run_cli(capsys, "simulate", "--network", str(path), "--squeezing-db=-6")
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: network: ") and "cap" in err
+
     def test_bad_netlist_path(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--network", "/does/not/exist.net")
         assert code == EXIT_CONFIG

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvcluster.gaussian import (
+    LEVEL_LIMIT_DB,
     ComplexUnitary,
     GaussianState,
     SqueezedInputSpec,
@@ -101,6 +102,14 @@ class TestImpureSqueezedVacuum:
             SqueezedInputSpec(1.0, 1.0)
         with pytest.raises(ValueError):
             SqueezedInputSpec(-1.0, -1.0)
+
+    def test_levels_bounded_before_the_variances_overflow(self):
+        deepest = impure_squeezed_vacuum(SqueezedInputSpec.pure_db(-LEVEL_LIMIT_DB))
+        assert np.all(np.isfinite(deepest.cov_factor)) and np.all(deepest.cov_factor.diagonal() > 0)
+        with pytest.raises(ValueError, match="squeezing_db"):
+            SqueezedInputSpec(-3100.0, 3100.0)
+        with pytest.raises(ValueError, match="antisqueezing_db"):
+            SqueezedInputSpec(-6.0, 3100.0)
 
 
 class TestTensor:

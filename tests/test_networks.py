@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvcluster.networks import (
+    MAX_NETLIST_MODES,
     NetworkElement,
     NetworkProgram,
     beam_splitter,
@@ -189,6 +190,14 @@ class TestNetlist:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             parse_netlist("\n# nothing here\n")
+
+    def test_mode_count_capped(self):
+        assert parse_netlist(f"MODES {MAX_NETLIST_MODES}\n").n_modes == MAX_NETLIST_MODES
+        # the header alone is rejected; nothing of that size is allocated
+        with pytest.raises(ValueError, match="cap"):
+            parse_netlist(f"MODES {MAX_NETLIST_MODES + 1}\n")
+        with pytest.raises(ValueError, match="cap"):
+            parse_netlist("MODES 100000\nF 1\n")
 
     @pytest.mark.parametrize("line", ["XY 1", "F 1 2", "BS+ 1 2", "BS- 1 2 nope", "SWAP 3"])
     def test_malformed_lines_rejected(self, line):

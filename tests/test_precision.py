@@ -1,4 +1,4 @@
-"""Nullifier variances under phase jitter against a 50-digit reference.
+"""Nullifier variances under phase jitter against a high-precision reference.
 
 The reference is an independent mpmath computation of the covariance: pure
 squeezed inputs at the configured dB level, the network's symplectic matrix
@@ -6,13 +6,16 @@ S = [[A, -B], [B, A]] of U = A + iB (its float64 entries taken exactly, so
 only the simulator's arithmetic is tested), and the closed-form covariance of
 a Gaussian-distributed rotation on each jittered mode.  At deep squeezing the nullifiers are tiny differences of
 huge antisqueezed variances, the regime where a plain c^T cov c contraction
-loses every digit.
+loses every digit.  The working precision grows with the level, by the
+2|level|/10 decades between the antisqueezed and the squeezed variance, so
+the reference resolves the deepest level the config boundary accepts.
 """
 
 import mpmath
 import pytest
 
 from cvcluster.analysis import nullifier_coefficients
+from cvcluster.gaussian import LEVEL_LIMIT_DB
 from cvcluster.scenarios import NETWORK_UNITARIES, ScenarioConfig, run_scenario
 
 from helpers import graph_for
@@ -38,7 +41,7 @@ def _jitter(cov, ix: int, ip: int, sigma: float):
 
 
 def reference_variances(network: str, level_db: float, sigma: float) -> list:
-    with mpmath.workdps(DIGITS):
+    with mpmath.workdps(DIGITS + round(2 * abs(level_db) / 10)):
         n = 4
         u = NETWORK_UNITARIES[network]().matrix
         a = [[mpmath.mpf(float(v.real)) for v in row] for row in u]
@@ -58,8 +61,8 @@ def reference_variances(network: str, level_db: float, sigma: float) -> list:
 
 
 @pytest.mark.parametrize("network", ["linear4", "tshape4"])
-@pytest.mark.parametrize("level_db", [-30.0, -60.0])
-@pytest.mark.parametrize("sigma", [1e-6, 1e-3, 0.04])
+@pytest.mark.parametrize("level_db", [-30.0, -60.0, -LEVEL_LIMIT_DB])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6, 1e-3, 0.04])
 def test_jittered_nullifiers_match_reference(network, level_db, sigma):
     cfg = ScenarioConfig.create(network, squeezing_db=level_db, antisqueezing_db=-level_db, jitter=sigma)
     got = run_scenario(cfg).nullifiers.variances

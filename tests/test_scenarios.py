@@ -1,11 +1,13 @@
 """Tests for scenario configs, runs, sweeps, and report serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cvcluster.analysis import UnsupportedGraphError
+from cvcluster.cli import main
 from cvcluster.networks import emit_netlist, linear_program, tshape_program
 from cvcluster.scenarios import (
     ConfigError,
@@ -58,6 +60,11 @@ class TestScenarioConfig:
         ("jitter", [0.0, 0.0, 0.0, -0.5], "jitter[3]"),
         ("loss_placement", "during", "loss_placement"),
         ("output_format", "yaml", "output_format"),
+        ("squeezing_db", [-6, -6, -6, -3100.0], "squeezing_db[3]"),
+        ("antisqueezing_db", [6.0, 3100.0, 6.0, 6.0], "antisqueezing_db[1]"),
+        ("jitter_mc", [100, -5], "jitter_mc"),
+        ("jitter_mc", [100, math.inf], "jitter_mc"),
+        ("loss", 10 ** 400, "loss"),
     ])
     def test_validation_reports_field_path(self, field, value, path):
         base = {"network": "linear4", "squeezing_db": -6.0, "antisqueezing_db": 6.0}
@@ -69,6 +76,25 @@ class TestScenarioConfig:
     def test_wrong_mode_count_rejected(self):
         with pytest.raises(ConfigError, match="4 modes"):
             ScenarioConfig(network="linear4", squeezing_db=(-6.0, -6.0))
+
+    @pytest.mark.parametrize("edges", [[[1, 9]], [[0, 1]], [[1, 2], [3, 3]], [[1, math.inf]]])
+    def test_graph_edges_checked_against_the_mode_count(self, edges):
+        data = {"network": "custom.net", "squeezing_db": [-6.0] * 4, "graph_edges": edges}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(data)
+        assert err.value.field == "graph_edges"
+
+    def test_omitted_antisqueezing_mirrors_everywhere(self, tmp_path, capsys):
+        cfg = ScenarioConfig.create("linear4", squeezing_db=-6, output_format="json")
+        assert cfg.antisqueezing_db == (6.0,) * 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"network": "linear4", "squeezing_db": -6, "output_format": "json"}))
+        assert main(["simulate", "--network", "linear4", "--squeezing-db=-6", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == out
+        assert run_scenario(load_config(path)).to_json() == out
+        assert run_scenario(cfg).to_json() == out
 
     def test_graph_edges_forbidden_for_named_networks(self):
         with pytest.raises(ConfigError, match="graph_edges"):
