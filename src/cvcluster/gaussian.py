@@ -301,16 +301,35 @@ def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return _mode_channel(state, ix, ip, math.sqrt(eta), math.sqrt((1.0 - eta) * VACUUM_VARIANCE) * np.eye(2))
 
 
+def _rotation_noise(state: GaussianState, ix: int, ip: int, vcc: float, vss: float, vcs: float) -> np.ndarray:
+    """Lower Cholesky factor of the noise N = E[D G D^T] a random rotation adds to one mode.
+
+    R = cos theta I + sin theta J = E[R] + D, J = [[0, -1], [1, 0]], with
+    D = dc I + ds J of centred moments vcc = E[dc^2], vss = E[ds^2],
+    vcs = E[dc ds]; G = F_m F_m^T + mu_m mu_m^T is the mode's second-moment
+    matrix (a displaced mode also picks up the spread of its rotated mean):
+    N = vcc G + vss J G J^T + vcs (J G + G J^T).
+    """
+    rows = state.cov_factor[[ix, ip]]
+    mu = state.mean[[ix, ip]]
+    g = rows @ rows.T + np.outer(mu, mu)
+    nxx = vcc * g[0, 0] + vss * g[1, 1] - 2.0 * vcs * g[0, 1]
+    npp = vcc * g[1, 1] + vss * g[0, 0] + 2.0 * vcs * g[0, 1]
+    nxp = (vcc - vss) * g[0, 1] + vcs * (g[0, 0] - g[1, 1])
+    # clipped against rounding
+    lxx = math.sqrt(max(nxx, 0.0))
+    lpx = nxp / lxx if lxx > 0.0 else 0.0
+    lpp = math.sqrt(max(npp - lpx * lpx, 0.0))
+    return np.array([[lxx, 0.0], [lpx, lpp]])
+
+
 def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState:
     """Average one mode over a random phase-space rotation theta ~ N(0, sigma^2).
 
-    With R = c1 I + D, c1 = E[cos theta] = e^{-sigma^2/2}, the mode's rows
-    scale by c1 and two appended columns factor N = E[D G D^T], where
-    G = F_m F_m^T + mu_m mu_m^T is the mode's second-moment matrix (so a
-    displaced mode also picks up the spread of its rotated mean):
-    N = a^2 G + b^2 J G J^T with J = [[0, -1], [1, 0]],
-    a^2 = E[cos^2] - c1^2 = expm1(-sigma^2)^2 / 2 and
-    b^2 = E[sin^2] = -expm1(-2 sigma^2) / 2, exact at small sigma.
+    E[R] = c1 I with c1 = E[cos theta] = e^{-sigma^2/2}: the mode's rows scale
+    by c1 and two columns factor the noise of :func:`_rotation_noise`, with
+    the exact moments E[dc^2] = E[cos^2] - c1^2 = expm1(-sigma^2)^2 / 2,
+    E[ds^2] = E[sin^2] = -expm1(-2 sigma^2) / 2 and E[dc ds] = 0.
 
     Args:
         state: input state.
@@ -323,33 +342,19 @@ def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState
         return state
     ix, ip = _mode_indices(state, mode)
     s2 = sigma * sigma
-    rows = state.cov_factor[[ix, ip]]
-    mu = state.mean[[ix, ip]]
-    g = rows @ rows.T + np.outer(mu, mu)
-    a2 = 0.5 * math.expm1(-s2) ** 2
-    b2 = -0.5 * math.expm1(-2.0 * s2)
-    nxx = a2 * g[0, 0] + b2 * g[1, 1]
-    npp = a2 * g[1, 1] + b2 * g[0, 0]
-    nxp = (a2 - b2) * g[0, 1]
-    # lower Cholesky factor of the 2 x 2 block N, clipped against rounding
-    lxx = math.sqrt(nxx)
-    lpx = nxp / lxx if lxx > 0.0 else 0.0
-    lpp = math.sqrt(max(npp - lpx * lpx, 0.0))
-    return _mode_channel(state, ix, ip, math.exp(-s2 / 2.0), np.array([[lxx, 0.0], [lpx, lpp]]))
+    noise = _rotation_noise(state, ix, ip, 0.5 * math.expm1(-s2) ** 2, -0.5 * math.expm1(-2.0 * s2), 0.0)
+    return _mode_channel(state, ix, ip, math.exp(-s2 / 2.0), noise)
 
 
-def phase_jitter_mc(
-    state: GaussianState,
-    mode: int,
-    sigma: float,
-    samples: int = 200_000,
-    seed: int = 0,
-) -> GaussianState:
+def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int = 200_000, seed: int = 0) -> GaussianState:
     """Monte-Carlo estimate of :func:`phase_jitter` by sampling rotations.
 
-    Debug and cross-check path only; it applies explicit rotation symplectics
-    for `samples` draws of theta and averages the resulting moments into a
-    covariance, which enters a new state through the validated ``cov=`` path.
+    The same channel, fed the moments of `samples` seeded draws of theta.
+    Their mean rotation E[R] = c1 I + s1 J = rho Rot(phi) need not be a
+    scaling, so the mode first turns by phi and then scales by rho; nothing
+    divides by rho, which is 0 if the phases cancel.  Draws come in blocks of
+    which only sums are kept, so memory does not grow with `samples`; cos - 1
+    is taken as -2 sin^2(theta/2) to keep its digits at small sigma.
     """
     if not (sigma >= 0.0 and math.isfinite(sigma)):
         raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
@@ -358,31 +363,23 @@ def phase_jitter_mc(
     if sigma == 0.0:
         return state
     ix, ip = _mode_indices(state, mode)
-    n2 = 2 * state.n_modes
     rng = np.random.default_rng(seed)
-
-    mean_sum = np.zeros(n2)
-    outer_sum = np.zeros((n2, n2))
-    cov_sum = np.zeros((n2, n2))
-    chunk = 20_000
-    done = 0
-    while done < samples:
-        k = min(chunk, samples - done)
-        thetas = rng.normal(0.0, sigma, size=k)
-        rots = np.broadcast_to(np.eye(n2), (k, n2, n2)).copy()
-        rots[:, ix, ix] = np.cos(thetas)
-        rots[:, ix, ip] = -np.sin(thetas)
-        rots[:, ip, ix] = np.sin(thetas)
-        rots[:, ip, ip] = np.cos(thetas)
-        means = np.einsum("kij,j->ki", rots, state.mean)
-        mean_sum += means.sum(axis=0)
-        outer_sum += np.einsum("ki,kj->ij", means, means)
-        cov_sum += np.einsum("kij,jl,kml->im", rots, state.cov, rots)
-        done += k
-
-    mean = mean_sum / samples
-    cov = cov_sum / samples + outer_sum / samples - np.outer(mean, mean)
-    return GaussianState(mean=mean, cov=(cov + cov.T) / 2.0)
+    # the exact E[cos] - 1, so that the sums of squares below barely cancel
+    shift = math.expm1(-sigma * sigma / 2.0)
+    sums, squares = np.zeros(2), np.zeros((2, 2))
+    for start in range(0, samples, 20_000):
+        thetas = rng.normal(0.0, sigma, size=min(20_000, samples - start))
+        d = np.stack([-2.0 * np.sin(thetas / 2.0) ** 2 - shift, np.sin(thetas)])
+        sums += d.sum(axis=1)
+        squares += d @ d.T
+    mean = sums / samples
+    (vcc, vcs), (_, vss) = squares / samples - np.outer(mean, mean)
+    c1, s1 = 1.0 + shift + mean[0], mean[1]
+    noise = _rotation_noise(state, ix, ip, vcc, vss, vcs)
+    phases = np.ones(state.n_modes, dtype=complex)
+    phases[mode - 1] = np.exp(1j * math.atan2(s1, c1))
+    turned = apply_unitary(state, ComplexUnitary(np.diag(phases)))
+    return _mode_channel(turned, ix, ip, math.hypot(c1, s1), noise)
 
 
 def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:

@@ -145,7 +145,7 @@ class NetworkProgram:
 
 def program_matrix(program: NetworkProgram) -> ComplexUnitary:
     """Multiply the factors in list order; the empty program is the identity."""
-    mats = [element_matrix(e, program.n_modes).matrix for e in program.elements]
+    mats = (element_matrix(e, program.n_modes).matrix for e in program.elements)
     product = reduce(np.matmul, mats, np.eye(program.n_modes, dtype=complex))
     return ComplexUnitary(product)
 

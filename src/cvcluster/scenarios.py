@@ -510,8 +510,7 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
     squeezing_r = tuple(squeezing_db_to_r(s) for s in cfg.squeezing_db)
     nullifiers = None
     if graph is not None:
-        r_arg = squeezing_r if graph.name in NAMED_GRAPH_EDGES else None
-        nullifiers = nullifier_report(state, graph, squeezing_r=r_arg)
+        nullifiers = nullifier_report(state, graph, squeezing_r=squeezing_r)
 
     want_witness = cfg.witness if cfg.witness is not None else (graph is not None and graph.name in NAMED_GRAPH_EDGES)
     witness = None
@@ -531,6 +530,12 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
 
 
 SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
+
+# Largest accepted sweep `steps`.  Every grid point is one scenario run whose
+# report the sweep keeps, so the flag alone would otherwise set the time and
+# memory a run asks for: 10^13 steps failed to allocate the grid array itself.
+# 10 000 is 50x a 200-point sweep and takes about 5 s (four modes, one core).
+MAX_SWEEP_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -587,12 +592,14 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         axis: one of "squeezing_db", "antisqueezing_db", "loss", "jitter".
         start: first grid value.
         stop: last grid value.
-        steps: number of grid points, >= 1.
+        steps: number of grid points, 1..MAX_SWEEP_STEPS.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ConfigError("steps", f"need at least one grid point, got {steps!r}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ConfigError("steps", f"{steps} grid points exceed the cap of {MAX_SWEEP_STEPS}")
     if not math.isfinite(stop - start):
         raise ConfigError("start", f"sweep bounds must be finite with a finite span, got {start!r} to {stop!r}")
     network = _resolve_network(cfg)

@@ -126,12 +126,15 @@ class TestErrorPaths:
         assert err.startswith("config error: config: ")
 
     @pytest.mark.parametrize("argv,field", [
-        (("--network", "linear4", "--squeezing-db=-3100"), "squeezing_db[0]"),
-        (("--network", "linear4", "--antisqueezing-db=3100"), "antisqueezing_db[0]"),
-        (("--network", "linear4", "--squeezing-db=-6", "--jitter", "0.01", "--jitter-mc", "100", "-5"), "jitter_mc"),
+        (("simulate", "--network", "linear4", "--squeezing-db=-3100"), "squeezing_db[0]"),
+        (("simulate", "--network", "linear4", "--antisqueezing-db=3100"), "antisqueezing_db[0]"),
+        (("simulate", "--network", "linear4", "--squeezing-db=-6", "--jitter", "0.01", "--jitter-mc", "100", "-5"),
+         "jitter_mc"),
+        (("sweep", "--network", "linear4", "--squeezing-db=-6", "--axis", "loss", "--from", "0.5", "--to", "1",
+          "--steps", "10000000000000"), "steps"),
     ])
     def test_rejected_at_the_config_boundary(self, capsys, argv, field):
-        code, _, err = run_cli(capsys, "simulate", *argv)
+        code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: {field}: ")
 

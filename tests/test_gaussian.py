@@ -1,6 +1,7 @@
 """Tests for Gaussian states, passive propagation, and imperfection channels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +242,8 @@ class TestPhaseJitter:
         assert out.cov[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_monte_carlo_cross_check(self):
-        # independent oracle: average explicitly rotated covariances
+        # sampled moments converge to the closed form; the exact same-draw
+        # oracles are in test_precision.py
         state = squeezed_vacuum(squeezing_db_to_r(-6.0))
         closed = phase_jitter(state, 1, 0.1)
         sampled = phase_jitter_mc(state, 1, 0.1, samples=200_000, seed=11)
@@ -253,6 +255,17 @@ class TestPhaseJitter:
         sampled = phase_jitter_mc(state, 1, 0.2, samples=200_000, seed=12)
         assert np.allclose(sampled.cov, closed.cov, rtol=2e-3, atol=2e-3)
         assert np.allclose(sampled.mean, closed.mean, atol=2e-3)
+
+    def test_monte_carlo_memory_does_not_grow_with_samples(self):
+        # below the 4 MB that the 500 000 draws alone would take at once
+        state = cluster_state("linear4", [0.6] * 4)
+        tracemalloc.start()
+        try:
+            phase_jitter_mc(state, 2, 0.05, samples=500_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000 * 8, peak
 
     def test_underflowing_sigma_is_identity(self):
         # sigma^2 underflows to 0, so the noise block is exactly zero

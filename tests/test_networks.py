@@ -1,6 +1,7 @@
 """Tests for network elements, factor programs, constants, and netlists."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestPrograms:
     def test_program_matrix_unitary(self, program):
         m = program_matrix(program).matrix
         assert np.max(np.abs(m @ m.conj().T - np.eye(4))) < TOL
+
+    def test_program_matrix_memory_does_not_grow_with_length(self):
+        # 500 dense 64-mode element matrices take 32 MB; the product keeps one alive at a time
+        lines = [f"BS+ {k % 63 + 1} {k % 63 + 2} 0.6" if k % 2 else f"F {k % 64 + 1}" for k in range(500)]
+        program = parse_netlist("MODES 64\n" + "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            program_matrix(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
 
     def test_element_beyond_mode_count_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -4,14 +4,17 @@ The reference is an independent mpmath computation of the covariance: pure
 squeezed inputs at the configured dB level, the network's symplectic matrix
 S = [[A, -B], [B, A]] of U = A + iB (its float64 entries taken exactly, so
 only the simulator's arithmetic is tested), and the closed-form covariance of
-a Gaussian-distributed rotation on each jittered mode.  At deep squeezing the nullifiers are tiny differences of
-huge antisqueezed variances, the regime where a plain c^T cov c contraction
+a Gaussian-distributed rotation on each jittered mode or, for the Monte-Carlo
+path, the average of the covariances explicitly rotated by the same seeded
+draws.  At deep squeezing the nullifiers are tiny differences of huge
+antisqueezed variances, the regime where a plain c^T cov c contraction
 loses every digit.  The working precision grows with the level, by the
 2|level|/10 decades between the antisqueezed and the squeezed variance, so
 the reference resolves the deepest level the config boundary accepts.
 """
 
 import mpmath
+import numpy as np
 import pytest
 
 from cvcluster.analysis import nullifier_coefficients
@@ -22,6 +25,7 @@ from helpers import graph_for
 
 DIGITS = 50
 REL_BOUND = 1e-9
+MC_SAMPLES, MC_SEED = 16, 5
 
 
 def _jitter(cov, ix: int, ip: int, sigma: float):
@@ -40,7 +44,22 @@ def _jitter(cov, ix: int, ip: int, sigma: float):
     return out
 
 
-def reference_variances(network: str, level_db: float, sigma: float) -> list:
+def _rotated_average(cov, ix: int, ip: int, thetas):
+    """Average of R cov R^T over the rotations R of the mode (ix, ip) by each of `thetas`."""
+    dim = range(len(cov))
+    total = [[mpmath.mpf(0)] * len(cov) for _ in dim]
+    for theta in thetas:
+        c, s = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+        out = [row[:] for row in cov]
+        for k in dim:
+            out[ix][k], out[ip][k] = c * cov[ix][k] - s * cov[ip][k], s * cov[ix][k] + c * cov[ip][k]
+        for k in dim:
+            out[k][ix], out[k][ip] = c * out[k][ix] - s * out[k][ip], s * out[k][ix] + c * out[k][ip]
+        total = [[t + o for t, o in zip(trow, orow)] for trow, orow in zip(total, out)]
+    return [[t / len(thetas) for t in row] for row in total]
+
+
+def reference_variances(network: str, level_db: float, sigma: float, mc: bool = False) -> list:
     with mpmath.workdps(DIGITS + round(2 * abs(level_db) / 10)):
         n = 4
         u = NETWORK_UNITARIES[network]().matrix
@@ -52,7 +71,12 @@ def reference_variances(network: str, level_db: float, sigma: float) -> list:
         dim = range(2 * n)
         cov = [[mpmath.fsum(s[i][k] * diag[k] * s[j][k] for k in dim) for j in dim] for i in dim]
         for mode in range(n):
-            cov = _jitter(cov, mode, n + mode, sigma)
+            if mc:
+                # the draws run_scenario takes for this mode: seed + mode - 1
+                thetas = np.random.default_rng(MC_SEED + mode).normal(0.0, sigma, size=MC_SAMPLES)
+                cov = _rotated_average(cov, mode, n + mode, thetas)
+            else:
+                cov = _jitter(cov, mode, n + mode, sigma)
         variances = []
         for node in range(1, n + 1):
             c = [mpmath.mpf(float(v)) for v in nullifier_coefficients(graph_for(network), node)]
@@ -65,7 +89,19 @@ def reference_variances(network: str, level_db: float, sigma: float) -> list:
 @pytest.mark.parametrize("sigma", [0.0, 1e-6, 1e-3, 0.04])
 def test_jittered_nullifiers_match_reference(network, level_db, sigma):
     cfg = ScenarioConfig.create(network, squeezing_db=level_db, antisqueezing_db=-level_db, jitter=sigma)
-    got = run_scenario(cfg).nullifiers.variances
-    want = reference_variances(network, level_db, sigma)
+    _assert_matches(run_scenario(cfg).nullifiers.variances, reference_variances(network, level_db, sigma))
+
+
+@pytest.mark.parametrize("network", ["linear4", "tshape4"])
+@pytest.mark.parametrize("level_db", [-30.0, -60.0, -LEVEL_LIMIT_DB])
+@pytest.mark.parametrize("sigma", [1e-6, 1e-3, 0.04])
+def test_monte_carlo_nullifiers_match_same_draw_reference(network, level_db, sigma):
+    cfg = ScenarioConfig.create(
+        network, squeezing_db=level_db, antisqueezing_db=-level_db, jitter=sigma, jitter_mc=(MC_SAMPLES, MC_SEED),
+    )
+    _assert_matches(run_scenario(cfg).nullifiers.variances, reference_variances(network, level_db, sigma, mc=True))
+
+
+def _assert_matches(got, want):
     rel = [float(abs(mpmath.mpf(g) - w) / w) for g, w in zip(got, want)]
     assert max(rel) < REL_BOUND, rel

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cvcluster import gaussian
 from cvcluster.analysis import UnsupportedGraphError
 from cvcluster.cli import main
 from cvcluster.networks import emit_netlist, linear_program, tshape_program
@@ -204,6 +205,17 @@ class TestRunScenario:
         assert sampled.nullifiers.variances == pytest.approx(closed.nullifiers.variances, rel=5e-3)
         again = run_scenario(ScenarioConfig.create("linear4", **base, jitter_mc=(100_000, 7)))
         assert again.to_json() == sampled.to_json()
+
+    @pytest.mark.parametrize("jitter_mc", [None, (1000, 3)])
+    def test_pipeline_never_factors_a_dense_covariance(self, monkeypatch, jitter_mc):
+        def refuse(*args):
+            raise AssertionError("a channel went through the dense covariance path")
+
+        monkeypatch.setattr(gaussian, "_factor_covariance", refuse)
+        cfg = ScenarioConfig.create(
+            "tshape4", squeezing_db=-60.0, loss=[0.9, 0.8, 1.0, 0.95], jitter=0.03, jitter_mc=jitter_mc,
+        )
+        assert all(v > 0.0 for v in run_scenario(cfg).nullifiers.variances)
 
     def test_missing_netlist_is_config_error(self):
         with pytest.raises(ConfigError, match="network"):
