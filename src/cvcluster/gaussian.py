@@ -1,14 +1,16 @@
 """Multimode Gaussian states, passive linear optics, and imperfection channels.
 
-A state is a mean vector and a covariance factor F; cov = F F^T is derived on
-request, in the hbar = 1/2 convention (vacuum variance 1/4) with quadratures
-stacked as (x_1 .. x_n, p_1 .. p_n).  A passive network given as a complex
-unitary U = A + iB maps to the real quadrature transform S = [[A, -B], [B, A]]
-(symplectic and orthogonal) and sends F to S F; loss and phase jitter scale
-one mode's rows and append two noise columns.  Channel-built states are thus
-physical by construction and are not re-validated; only a caller-supplied
-covariance is checked, once, and factored.  Combination variances are sums of
-squares ||F^T c||^2, accurate even when huge antisqueezed variances cancel.
+A state is its covariance factor F; cov = F F^T is derived on request, in the
+hbar = 1/2 convention (vacuum variance 1/4) with quadratures stacked as
+(x_1 .. x_n, p_1 .. p_n).  States are zero-mean: a displacement changes no
+variance, and variances are all this package reports.  A passive network
+given as a complex unitary U = A + iB maps to the real quadrature transform
+S = [[A, -B], [B, A]] (symplectic and orthogonal) and sends F to S F; loss
+and phase jitter scale one mode's rows and append two noise columns.
+Channel-built states are thus physical by construction and are not
+re-validated; only a caller-supplied covariance is checked, once, and
+factored.  Combination variances are sums of squares ||F^T c||^2, accurate
+even when huge antisqueezed variances cancel.
 
 All objects are immutable after construction and every operation returns a new
 value, so everything here is safe to use from concurrent workers.
@@ -79,7 +81,7 @@ class ComplexUnitary:
         return ComplexUnitary(self.matrix.conj().T)
 
 
-def _factor_covariance(mean: np.ndarray, cov) -> np.ndarray:
+def _factor_covariance(cov) -> np.ndarray:
     """Validate a caller-supplied covariance and return F with F F^T = cov.
 
     Tolerances scale with the matrix magnitude, as does the rounding deep
@@ -87,18 +89,16 @@ def _factor_covariance(mean: np.ndarray, cov) -> np.ndarray:
     clips eigenvalues that rounding pushed below zero.
     """
     cov = np.array(cov, dtype=float)
-    if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-        raise ValueError(f"mean must be a vector of even length, got shape {mean.shape}")
-    if cov.shape != (mean.size, mean.size):
-        raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError("mean and covariance must be finite")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.size == 0:
+        raise ValueError(f"covariance must be a square matrix of even size, got shape {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance must be finite")
     tol = CONSTRUCTOR_TOL * (1.0 + np.max(np.abs(cov)))
     asym = np.max(np.abs(cov - cov.T))
     if asym > tol:
         raise ValueError(f"covariance is not symmetric (deviation {asym:.3e})")
     cov = (cov + cov.T) / 2.0
-    min_eig = float(np.min(np.linalg.eigvalsh(cov + 0.25j * symplectic_form(mean.size // 2))))
+    min_eig = float(np.min(np.linalg.eigvalsh(cov + 0.25j * symplectic_form(cov.shape[0] // 2))))
     if min_eig < -tol:
         raise ValueError(f"covariance violates the uncertainty relation (min eigenvalue {min_eig:.3e})")
     w, v = np.linalg.eigh(cov)
@@ -107,31 +107,27 @@ def _factor_covariance(mean: np.ndarray, cov) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GaussianState:
-    """Mean vector and covariance factor of n optical modes.
+    """A zero-mean Gaussian state of n optical modes: its covariance factor.
 
     Attributes:
-        mean: length-2n vector of quadrature expectation values,
-            ordered (x_1 .. x_n, p_1 .. p_n).
-        cov_factor: real 2n x m factor F of the covariance, the state itself.
+        cov_factor: real 2n x m factor F of the covariance, the state itself,
+            with rows ordered (x_1 .. x_n, p_1 .. p_n).
         cov: the derived, read-only covariance F F^T.
 
     Channels construct states with ``cov_factor=``; such a factor is
-    physical by construction and is taken as is.  ``GaussianState(mean,
-    cov=...)`` is the one validated entry point: the covariance must be
-    finite, symmetric and satisfy the uncertainty relation
-    cov + (i/4) Omega >= 0, and is factored once.  The vacuum state saturates
-    the relation with cov = (1/4) I and mean = 0.
+    physical by construction and is taken as is.  ``GaussianState(cov)`` is
+    the one validated entry point: the covariance must be finite, symmetric
+    and satisfy the uncertainty relation cov + (i/4) Omega >= 0, and is
+    factored once.  The vacuum state saturates the relation with
+    cov = (1/4) I.
     """
 
-    mean: np.ndarray
     cov_factor: np.ndarray
 
-    def __init__(self, mean, cov=None, *, cov_factor=None):
+    def __init__(self, cov=None, *, cov_factor=None):
         if (cov is None) == (cov_factor is None):
             raise ValueError("a state needs exactly one of cov and cov_factor")
-        mean = np.array(mean, dtype=float)
-        factor = _factor_covariance(mean, cov) if cov_factor is None else np.array(cov_factor, dtype=float)
-        object.__setattr__(self, "mean", _read_only(mean))
+        factor = _factor_covariance(cov) if cov_factor is None else np.array(cov_factor, dtype=float)
         object.__setattr__(self, "cov_factor", _read_only(factor))
 
     @property
@@ -141,10 +137,10 @@ class GaussianState:
 
     @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
+        return self.cov_factor.shape[0] // 2
 
     def __repr__(self):
-        return f"GaussianState(n_modes={self.n_modes}, mean={self.mean!r}, cov={self.cov!r})"
+        return f"GaussianState(n_modes={self.n_modes}, cov={self.cov!r})"
 
 
 @dataclass(frozen=True)
@@ -156,12 +152,10 @@ class SqueezedInputSpec:
         antisqueezing_db: x-quadrature variance level, in [0, LEVEL_LIMIT_DB].
             Physicality requires antisqueezing_db >= -squeezing_db; a pure
             state has exactly antisqueezing_db = -squeezing_db.
-        pure: marks the pure case; enforced exactly.
     """
 
     squeezing_db: float
     antisqueezing_db: float
-    pure: bool = False
 
     def __post_init__(self):
         s, a = self.squeezing_db, self.antisqueezing_db
@@ -171,15 +165,8 @@ class SqueezedInputSpec:
             raise ValueError(f"squeezing_db must lie in [-{LEVEL_LIMIT_DB}, 0], got {s}")
         if not 0 <= a <= LEVEL_LIMIT_DB:
             raise ValueError(f"antisqueezing_db must lie in [0, {LEVEL_LIMIT_DB}], got {a}")
-        if self.pure:
-            if a != -s:
-                raise ValueError(f"pure state requires antisqueezing_db == -squeezing_db, got {a} != {-s}")
-        elif a < -s:
+        if a < -s:
             raise ValueError(f"unphysical levels: antisqueezing_db {a} < -squeezing_db {-s}")
-
-    @classmethod
-    def pure_db(cls, squeezing_db: float) -> "SqueezedInputSpec":
-        return cls(squeezing_db=squeezing_db, antisqueezing_db=-squeezing_db, pure=True)
 
 
 def squeezing_db_to_r(squeezing_db: float) -> float:
@@ -188,11 +175,11 @@ def squeezing_db_to_r(squeezing_db: float) -> float:
 
 
 def _diagonal_state(variances: np.ndarray) -> GaussianState:
-    return GaussianState(mean=np.zeros(variances.size), cov_factor=np.diag(np.sqrt(variances)))
+    return GaussianState(cov_factor=np.diag(np.sqrt(variances)))
 
 
 def vacuum(n: int) -> GaussianState:
-    """n-mode vacuum: zero mean, covariance (1/4) I.
+    """n-mode vacuum: covariance (1/4) I.
 
     Args:
         n: number of modes, >= 1.
@@ -238,19 +225,17 @@ def tensor(states: list[GaussianState]) -> GaussianState:
     if not states:
         raise ValueError("tensor requires at least one state")
     n = sum(s.n_modes for s in states)
-    mean = np.zeros(2 * n)
     factor = np.zeros((2 * n, sum(s.cov_factor.shape[1] for s in states)))
     offset = 0
     col = 0
     for s in states:
         k = s.n_modes
         idx = np.concatenate([np.arange(offset, offset + k), np.arange(n + offset, n + offset + k)])
-        mean[idx] = s.mean
         cols = s.cov_factor.shape[1]
         factor[idx, col:col + cols] = s.cov_factor
         col += cols
         offset += k
-    return GaussianState(mean=mean, cov_factor=factor)
+    return GaussianState(cov_factor=factor)
 
 
 def unitary_to_symplectic(unitary: ComplexUnitary) -> np.ndarray:
@@ -260,11 +245,11 @@ def unitary_to_symplectic(unitary: ComplexUnitary) -> np.ndarray:
 
 
 def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianState:
-    """Propagate a state through a passive network: F -> S F, mean -> S mean."""
+    """Propagate a state through a passive network: F -> S F."""
     if unitary.n_modes != state.n_modes:
         raise ValueError(f"unitary acts on {unitary.n_modes} modes but state has {state.n_modes}")
     s = unitary_to_symplectic(unitary)
-    return GaussianState(mean=s @ state.mean, cov_factor=s @ state.cov_factor)
+    return GaussianState(cov_factor=s @ state.cov_factor)
 
 
 def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
@@ -274,12 +259,12 @@ def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
 
 
 def _mode_channel(state: GaussianState, ix: int, ip: int, gain: float, noise: np.ndarray) -> GaussianState:
-    """Scale one mode's rows of the mean and factor by `gain` and append the 2 x 2 `noise` factor."""
+    """Scale one mode's factor rows by `gain` and append the 2 x 2 `noise` factor."""
     scale = np.ones(2 * state.n_modes)
     scale[[ix, ip]] = gain
     cols = np.zeros((2 * state.n_modes, 2))
     cols[[ix, ip]] = noise
-    return GaussianState(mean=state.mean * scale, cov_factor=np.hstack([scale[:, None] * state.cov_factor, cols]))
+    return GaussianState(cov_factor=np.hstack([scale[:, None] * state.cov_factor, cols]))
 
 
 def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -306,13 +291,11 @@ def _rotation_noise(state: GaussianState, ix: int, ip: int, vcc: float, vss: flo
 
     R = cos theta I + sin theta J = E[R] + D, J = [[0, -1], [1, 0]], with
     D = dc I + ds J of centred moments vcc = E[dc^2], vss = E[ds^2],
-    vcs = E[dc ds]; G = F_m F_m^T + mu_m mu_m^T is the mode's second-moment
-    matrix (a displaced mode also picks up the spread of its rotated mean):
+    vcs = E[dc ds]; G = F_m F_m^T is the mode's covariance block:
     N = vcc G + vss J G J^T + vcs (J G + G J^T).
     """
     rows = state.cov_factor[[ix, ip]]
-    mu = state.mean[[ix, ip]]
-    g = rows @ rows.T + np.outer(mu, mu)
+    g = rows @ rows.T
     nxx = vcc * g[0, 0] + vss * g[1, 1] - 2.0 * vcs * g[0, 1]
     npp = vcc * g[1, 1] + vss * g[0, 0] + 2.0 * vcs * g[0, 1]
     nxp = (vcc - vss) * g[0, 1] + vcs * (g[0, 0] - g[1, 1])
@@ -385,10 +368,9 @@ def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int 
 def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:
     """Variance of the quadrature combination sum_k c_k q_k, i.e. c^T cov c.
 
-    The coefficient vector follows the (x..., p...) ordering and the result
-    does not depend on the state's mean.  It is evaluated as ||F^T c||^2,
-    which stays accurate even when huge antisqueezed variances cancel out of
-    the combination.
+    The coefficient vector follows the (x..., p...) ordering.  It is
+    evaluated as ||F^T c||^2, which stays accurate even when huge
+    antisqueezed variances cancel out of the combination.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (2 * state.n_modes,):

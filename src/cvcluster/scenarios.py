@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,20 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(field: str, value) -> int:
+    """`value` as an int if it equals one; a bool, a string or a fraction is a ConfigError on `field`."""
+    if _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ConfigError(field, f"expected an integer, got {value!r}")
+
+
+def _lists(value):
+    """Tuples, nested ones too, as JSON-ready lists."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _load_program(path: str):
@@ -94,8 +107,9 @@ class ScenarioConfig:
     (`squeezing_db`, `antisqueezing_db`, `loss`, `jitter`) take a scalar or
     one value per mode and are stored as float tuples; omitted ones are
     0 dB, eta 1 and sigma 0, but an omitted `antisqueezing_db` mirrors a given
-    `squeezing_db` (pure inputs).  Built-in networks have 4 modes; a netlist
-    has as many as the first per-mode list, or as its `MODES` header.
+    `squeezing_db` (pure inputs).  Per-mode values must be real numbers, node
+    labels and `jitter_mc` values integers.  Built-in networks have 4 modes;
+    a netlist has as many as the first per-mode list, or as its `MODES` header.
     `witness` None means on for built-in networks, off for netlists.
     `graph_edges` gives a netlist its cluster graph.
     """
@@ -117,13 +131,7 @@ class ScenarioConfig:
             raise ConfigError("network", f"expected a network name or netlist path, got {self.network!r}")
         raw = {field: getattr(self, field) for field in _PER_MODE_DEFAULTS}
         for field, value in raw.items():
-            if field == "antisqueezing_db" and value is None and raw["squeezing_db"] is not None:
-                s = raw["squeezing_db"]
-                try:
-                    value = [-v for v in s] if isinstance(s, list) else -s
-                except TypeError:
-                    raise ConfigError("squeezing_db", f"expected a number or a sequence of numbers, got {s!r}") from None
-            if value is not None and not _is_scalar(value):
+            if value is not None and not _is_real(value):
                 try:
                     value = list(value)
                 except TypeError:
@@ -135,17 +143,22 @@ class ScenarioConfig:
             n = next((len(v) for v in raw.values() if isinstance(v, list)), None)
             if n is None:
                 n = _load_program(self.network).n_modes
+        expanded = {}
         for field, default in _PER_MODE_DEFAULTS.items():
             value = raw[field]
-            items = value if isinstance(value, list) else [default if value is None else value] * n
+            if field == "antisqueezing_db" and value is None and raw["squeezing_db"] is not None:
+                items = [-v for v in expanded["squeezing_db"]]
+            else:
+                items = value if isinstance(value, list) else [default if value is None else value] * n
             if len(items) != n:
                 raise ConfigError(field, f"expected one value per mode ({n} modes), got {len(items)}")
-            try:
-                values = tuple(float(v) for v in items)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(field, f"expected a number or a sequence of numbers, got {value!r}") from None
+            try:  # NaN for anything but a real number, which the finite check rejects
+                values = tuple(float(v) if _is_real(v) else math.nan for v in items)
+            except OverflowError:
+                values = (math.nan,)
             if not all(math.isfinite(v) for v in values):
-                raise ConfigError(field, f"values must be finite numbers, got {values!r}")
+                raise ConfigError(field, f"expected finite numbers, got {value!r}")
+            expanded[field] = items
             object.__setattr__(self, field, values)
         for i, (s, a) in enumerate(zip(self.squeezing_db, self.antisqueezing_db)):
             if not -LEVEL_LIMIT_DB <= s <= 0:
@@ -170,11 +183,10 @@ class ScenarioConfig:
             if self.network in NETWORK_UNITARIES:
                 raise ConfigError("graph_edges", "built-in networks define their own graph")
             try:
-                edges = tuple(tuple(int(v) for v in e) for e in self.graph_edges)
-            except (TypeError, ValueError, OverflowError):
+                pairs = [(a, b) for a, b in self.graph_edges]
+            except (TypeError, ValueError):
                 raise ConfigError("graph_edges", f"expected a list of node pairs, got {self.graph_edges!r}") from None
-            if any(len(e) != 2 for e in edges):
-                raise ConfigError("graph_edges", f"expected a list of node pairs, got {self.graph_edges!r}")
+            edges = tuple((_integer("graph_edges", a), _integer("graph_edges", b)) for a, b in pairs)
             try:
                 GraphSpec(n, frozenset(edges))
             except ValueError as exc:
@@ -184,9 +196,10 @@ class ScenarioConfig:
             raise ConfigError("verify_decompositions", f"expected a boolean, got {self.verify_decompositions!r}")
         if self.jitter_mc is not None:
             try:
-                samples, seed = (int(v) for v in self.jitter_mc)
-            except (TypeError, ValueError, OverflowError):
+                samples, seed = self.jitter_mc
+            except (TypeError, ValueError):
                 raise ConfigError("jitter_mc", f"expected [samples, seed], got {self.jitter_mc!r}") from None
+            samples, seed = _integer("jitter_mc", samples), _integer("jitter_mc", seed)
             if samples < 1:
                 raise ConfigError("jitter_mc", f"sample count must be >= 1, got {samples}")
             if seed < 0:
@@ -210,19 +223,7 @@ class ScenarioConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "squeezing_db": list(self.squeezing_db),
-            "antisqueezing_db": list(self.antisqueezing_db),
-            "loss": list(self.loss),
-            "loss_placement": self.loss_placement,
-            "jitter": list(self.jitter),
-            "output_format": self.output_format,
-            "witness": self.witness,
-            "graph_edges": None if self.graph_edges is None else [list(e) for e in self.graph_edges],
-            "verify_decompositions": self.verify_decompositions,
-            "jitter_mc": None if self.jitter_mc is None else list(self.jitter_mc),
-        }
+        return {f.name: _lists(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @property
     def n_modes(self) -> int:
@@ -281,7 +282,7 @@ class DecompositionReport:
 
     def to_dict(self) -> dict:
         return {
-            "checks": [dataclasses.asdict(c) for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],
             "square_relation_deviation": self.square_relation_deviation,
         }
 
@@ -315,7 +316,7 @@ def verify_decompositions() -> DecompositionReport:
     """
     r_probe = (0.3, 0.5, 0.7, 0.9)
     probe = tensor([impure_squeezed_vacuum(SqueezedInputSpec(
-        squeezing_db=-20.0 * r / math.log(10.0), antisqueezing_db=20.0 * r / math.log(10.0), pure=True,
+        squeezing_db=-20.0 * r / math.log(10.0), antisqueezing_db=20.0 * r / math.log(10.0),
     )) for r in r_probe])
     checks = []
     for name, program, constant in (
@@ -348,38 +349,17 @@ class ScenarioReport:
     """Everything produced by one scenario run."""
 
     config: ScenarioConfig
-    squeezing_r: tuple[float, ...]
     nullifiers: NullifierReport | None
     witness: WitnessReport | None
     decompositions: DecompositionReport | None = None
 
+    @property
+    def squeezing_r(self) -> tuple[float, ...]:
+        """Input squeezing parameters r, one per mode, from the config's levels."""
+        return tuple(map(squeezing_db_to_r, self.config.squeezing_db))
+
     def to_dict(self) -> dict:
-        nullifiers = None
-        if self.nullifiers is not None:
-            nullifiers = {
-                "graph": self.nullifiers.graph_name,
-                "nodes": [
-                    {
-                        "node": e.node,
-                        "variance": e.variance,
-                        "reference": e.reference,
-                        "level_db": e.level_db,
-                        "analytic_variance": e.analytic_variance,
-                    }
-                    for e in self.nullifiers.entries
-                ],
-            }
-        witness = None
-        if self.witness is not None:
-            witness = {
-                "graph": self.witness.graph_name,
-                "delegated_to": self.witness.delegated_to,
-                "inequalities": [
-                    {"label": i.label, "lhs": i.lhs, "bound": i.bound, "satisfied": i.satisfied}
-                    for i in self.witness.inequalities
-                ],
-                "fully_inseparable": self.witness.fully_inseparable,
-            }
+        n, w = self.nullifiers, self.witness
         return {
             "config": self.config.to_dict(),
             "inputs": {
@@ -387,50 +367,33 @@ class ScenarioReport:
                 "antisqueezing_db": list(self.config.antisqueezing_db),
                 "squeezing_r": list(self.squeezing_r),
             },
-            "nullifiers": nullifiers,
-            "witness": witness,
+            "nullifiers": None if n is None else {"graph": n.graph_name, "nodes": [dict(vars(e)) for e in n.entries]},
+            "witness": None if w is None else {
+                "graph": w.graph_name,
+                "delegated_to": w.delegated_to,
+                "inequalities": [dict(vars(i)) for i in w.inequalities],
+                "fully_inseparable": w.fully_inseparable,
+            },
             "decompositions": None if self.decompositions is None else self.decompositions.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioReport":
-        nullifiers = None
-        if data.get("nullifiers") is not None:
-            nd = data["nullifiers"]
-            nullifiers = NullifierReport(
-                graph_name=nd["graph"],
-                entries=tuple(
-                    NullifierEntry(
-                        node=e["node"],
-                        variance=e["variance"],
-                        reference=e["reference"],
-                        level_db=e["level_db"],
-                        analytic_variance=e["analytic_variance"],
-                    )
-                    for e in nd["nodes"]
-                ),
-            )
-        witness = None
-        if data.get("witness") is not None:
-            wd = data["witness"]
-            witness = WitnessReport(
-                graph_name=wd["graph"],
-                delegated_to=wd["delegated_to"],
-                inequalities=tuple(
-                    WitnessInequality(label=i["label"], lhs=i["lhs"], bound=i["bound"], satisfied=i["satisfied"])
-                    for i in wd["inequalities"]
-                ),
-                fully_inseparable=wd["fully_inseparable"],
-            )
-        decompositions = None
-        if data.get("decompositions") is not None:
-            decompositions = DecompositionReport.from_dict(data["decompositions"])
+        """Read back a `to_dict` report; its `inputs` section is derived from the config and not read."""
+        n, w, d = data.get("nullifiers"), data.get("witness"), data.get("decompositions")
         return cls(
             config=ScenarioConfig.from_dict(data["config"]),
-            squeezing_r=tuple(data["inputs"]["squeezing_r"]),
-            nullifiers=nullifiers,
-            witness=witness,
-            decompositions=decompositions,
+            nullifiers=None if n is None else NullifierReport(
+                graph_name=n["graph"],
+                entries=tuple(NullifierEntry(**e) for e in n["nodes"]),
+            ),
+            witness=None if w is None else WitnessReport(
+                graph_name=w["graph"],
+                inequalities=tuple(WitnessInequality(**i) for i in w["inequalities"]),
+                fully_inseparable=w["fully_inseparable"],
+                delegated_to=w["delegated_to"],
+            ),
+            decompositions=None if d is None else DecompositionReport.from_dict(d),
         )
 
     def to_json(self) -> str:
@@ -482,11 +445,10 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
     `run_sweep` so that a sweep resolves its network once, not per point.
     """
     unitary, graph = _resolve_network(cfg) if _network is None else _network
-    specs = [
-        SqueezedInputSpec(squeezing_db=s, antisqueezing_db=a, pure=(a == -s))
+    state = tensor([
+        impure_squeezed_vacuum(SqueezedInputSpec(squeezing_db=s, antisqueezing_db=a))
         for s, a in zip(cfg.squeezing_db, cfg.antisqueezing_db)
-    ]
-    state = tensor([impure_squeezed_vacuum(spec) for spec in specs])
+    ])
 
     def apply_loss(current):
         for mode, eta in enumerate(cfg.loss, start=1):
@@ -507,10 +469,9 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
             else:
                 state = phase_jitter(state, mode, sigma)
 
-    squeezing_r = tuple(squeezing_db_to_r(s) for s in cfg.squeezing_db)
     nullifiers = None
     if graph is not None:
-        nullifiers = nullifier_report(state, graph, squeezing_r=squeezing_r)
+        nullifiers = nullifier_report(state, graph, squeezing_r=tuple(map(squeezing_db_to_r, cfg.squeezing_db)))
 
     want_witness = cfg.witness if cfg.witness is not None else (graph is not None and graph.name in NAMED_GRAPH_EDGES)
     witness = None
@@ -522,7 +483,6 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
     decompositions = verify_decompositions() if cfg.verify_decompositions else None
     return ScenarioReport(
         config=cfg,
-        squeezing_r=squeezing_r,
         nullifiers=nullifiers,
         witness=witness,
         decompositions=decompositions,
@@ -596,7 +556,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    steps = _integer("steps", steps)
+    if steps < 1:
         raise ConfigError("steps", f"need at least one grid point, got {steps!r}")
     if steps > MAX_SWEEP_STEPS:
         raise ConfigError("steps", f"{steps} grid points exceed the cap of {MAX_SWEEP_STEPS}")

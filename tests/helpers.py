@@ -32,7 +32,7 @@ def pure_inputs(r) -> GaussianState:
 
 def impure_inputs(squeezing_db, antisqueezing_db) -> GaussianState:
     return tensor([
-        impure_squeezed_vacuum(SqueezedInputSpec(s, a, pure=(a == -s)))
+        impure_squeezed_vacuum(SqueezedInputSpec(s, a))
         for s, a in zip(squeezing_db, antisqueezing_db)
     ])
 

@@ -66,6 +66,13 @@ class TestScenarioConfig:
         ("jitter_mc", [100, -5], "jitter_mc"),
         ("jitter_mc", [100, math.inf], "jitter_mc"),
         ("loss", 10 ** 400, "loss"),
+        ("jitter_mc", [1000.7, 3], "jitter_mc"),
+        ("jitter_mc", ["12", 3], "jitter_mc"),
+        ("jitter_mc", [1000, True], "jitter_mc"),
+        ("loss", ["0.9"] * 4, "loss"),
+        ("jitter", [False] * 4, "jitter"),
+        ("squeezing_db", ["-6"] * 4, "squeezing_db"),
+        ("loss", [True] * 4, "loss"),
     ])
     def test_validation_reports_field_path(self, field, value, path):
         base = {"network": "linear4", "squeezing_db": -6.0, "antisqueezing_db": 6.0}
@@ -78,7 +85,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="4 modes"):
             ScenarioConfig(network="linear4", squeezing_db=(-6.0, -6.0))
 
-    @pytest.mark.parametrize("edges", [[[1, 9]], [[0, 1]], [[1, 2], [3, 3]], [[1, math.inf]]])
+    @pytest.mark.parametrize("edges", [
+        [[1, 9]], [[0, 1]], [[1, 2], [3, 3]], [[1, math.inf]],
+        [[1, 2.9]], [["1", 2]], [[True, 2]], [[1, 2, 3]], [1, 2],
+    ])
     def test_graph_edges_checked_against_the_mode_count(self, edges):
         data = {"network": "custom.net", "squeezing_db": [-6.0] * 4, "graph_edges": edges}
         with pytest.raises(ConfigError) as err:
@@ -259,6 +269,20 @@ class TestSweep:
         cfg = ScenarioConfig.create("linear4")
         with pytest.raises(ConfigError, match="steps"):
             run_sweep(cfg, "loss", 1.0, 0.0, 0)
+
+    @pytest.mark.parametrize("steps", [True, 2.5, "3"])
+    def test_steps_must_be_an_integer(self, steps):
+        cfg = ScenarioConfig.create("linear4")
+        with pytest.raises(ConfigError, match="steps"):
+            run_sweep(cfg, "loss", 1.0, 0.0, steps)
+
+    def test_integral_values_pass_as_integers(self, linear_netlist):
+        cfg = ScenarioConfig.create(
+            linear_netlist, squeezing_db=[-6.0] * 4, jitter_mc=[1000.0, np.int64(3)],
+            graph_edges=[[1.0, np.int64(2)], [2, 3], [3, 4]],
+        )
+        assert cfg.jitter_mc == (1000, 3) and cfg.graph_edges == LINEAR_EDGES
+        assert len(run_sweep(cfg, "loss", 1.0, 0.5, 2.0).reports) == 2
 
     def test_unknown_axis_rejected(self):
         cfg = ScenarioConfig.create("linear4")
