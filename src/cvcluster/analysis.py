@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -72,23 +73,23 @@ class GraphSpec:
             raise ValueError(f"node {a} out of range 1..{self.n_nodes}")
         return tuple(sorted(b for edge in self.edges for b in edge if a in edge and b != a))
 
-
-def linear4() -> GraphSpec:
-    return GraphSpec(4, frozenset(NAMED_GRAPH_EDGES["linear4"]), "linear4")
-
-
-def square4() -> GraphSpec:
-    return GraphSpec(4, frozenset(NAMED_GRAPH_EDGES["square4"]), "square4")
+    @cached_property
+    def nullifiers(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """Per node, built once: its nullifier coefficients and vacuum-input reference (1 + |N(a)|)/4."""
+        return tuple((nullifier_coefficients(self, a), (1 + len(self.neighbors(a))) * VACUUM_VARIANCE)
+                     for a in range(1, self.n_nodes + 1))
 
 
-def tshape4() -> GraphSpec:
-    return GraphSpec(4, frozenset(NAMED_GRAPH_EDGES["tshape4"]), "tshape4")
-
-
+@cache
 def graph_by_name(name: str) -> GraphSpec:
     if name not in NAMED_GRAPH_EDGES:
         raise ValueError(f"unknown graph name {name!r}; expected one of {sorted(NAMED_GRAPH_EDGES)}")
     return GraphSpec(4, frozenset(NAMED_GRAPH_EDGES[name]), name)
+
+
+linear4 = partial(graph_by_name, "linear4")
+square4 = partial(graph_by_name, "square4")
+tshape4 = partial(graph_by_name, "tshape4")
 
 
 def nullifier_coefficients(graph: GraphSpec, a: int) -> np.ndarray:
@@ -99,6 +100,7 @@ def nullifier_coefficients(graph: GraphSpec, a: int) -> np.ndarray:
     c[n + a - 1] = 1.0
     for b in neighbors:
         c[b - 1] = -1.0
+    c.flags.writeable = False  # shared through GraphSpec.nullifiers
     return c
 
 
@@ -152,10 +154,8 @@ def nullifier_report(
     if squeezing_r is not None and graph.name in NAMED_GRAPH_EDGES:
         analytic = analytic_residual_variances(graph.name, squeezing_r)
     entries = []
-    for a in range(1, graph.n_nodes + 1):
-        coeffs = nullifier_coefficients(graph, a)
+    for a, (coeffs, ref) in enumerate(graph.nullifiers, start=1):
         var = combination_variance(state, coeffs)
-        ref = (1 + len(graph.neighbors(a))) * VACUUM_VARIANCE
         entries.append(NullifierEntry(
             node=a,
             variance=var,
@@ -311,18 +311,25 @@ def witness_evaluate(pairs, labels=None, graph_name: str = "custom") -> WitnessR
     )
 
 
-def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> WitnessReport:
+@cache
+def _square_to_linear_phases():
+    return linear_to_square_phases().adjoint()
+
+
+def full_inseparability_verdict(state: GaussianState, graph: GraphSpec, nullifiers=None) -> WitnessReport:
     """Nullifier variances plus witness inequalities in one call.
 
     Supported graphs are linear4 and tshape4; square4 is handled by undoing
     the local phases and testing the locally equivalent linear state, which
     the report marks via `delegated_to`.  Custom graphs have no defined
-    pairing and raise :class:`UnsupportedGraphError`.
+    pairing and raise :class:`UnsupportedGraphError`.  `nullifiers`, the
+    state's :func:`nullifier_report` on `graph`, saves computing the
+    variances again; square4 tests other combinations and does not read it.
     """
     if state.n_modes != graph.n_nodes:
         raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
     if graph.name == "square4":
-        linear_state = apply_unitary(state, linear_to_square_phases().adjoint())
+        linear_state = apply_unitary(state, _square_to_linear_phases())
         inner = full_inseparability_verdict(linear_state, linear4())
         return WitnessReport(
             graph_name="square4",
@@ -332,8 +339,7 @@ def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> Witne
         )
     if graph.name not in WITNESS_PAIRS:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-    report = nullifier_report(state, graph)
-    variances = report.variances
+    variances = (nullifier_report(state, graph) if nullifiers is None else nullifiers).variances
     pairs = [(variances[a - 1], variances[b - 1]) for a, b in WITNESS_PAIRS[graph.name]]
     labels = [f"node{a}+node{b}" for a, b in WITNESS_PAIRS[graph.name]]
     return witness_evaluate(pairs, labels=labels, graph_name=graph.name)

@@ -5,9 +5,9 @@ hbar = 1/2 convention (vacuum variance 1/4) with quadratures stacked as
 (x_1 .. x_n, p_1 .. p_n).  States are zero-mean: a displacement changes no
 variance, and variances are all this package reports.  A passive network
 given as a complex unitary U = A + iB maps to the real quadrature transform
-S = [[A, -B], [B, A]] (symplectic and orthogonal) and sends F to S F; loss
-and phase jitter scale one mode's rows and append two noise columns.
-Channel-built states are thus physical by construction and are not
+S = [[A, -B], [B, A]] (symplectic, orthogonal, built once) and sends F to S F;
+loss and phase jitter scale a mode's rows and append two noise columns, all
+modes of a kind in one pass.  Channel-built states are physical and are not
 re-validated; only a caller-supplied covariance is checked, once, and
 factored.  Combination variances are sums of squares ||F^T c||^2, accurate
 even when huge antisqueezed variances cancel.
@@ -18,6 +18,7 @@ value, so everything here is safe to use from concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,11 @@ class ComplexUnitary:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def symplectic(self) -> np.ndarray:
+        """The read-only quadrature transform S of :func:`unitary_to_symplectic`, built once."""
+        return _read_only(unitary_to_symplectic(self))
 
     def adjoint(self) -> "ComplexUnitary":
         """Inverse network, U-dagger."""
@@ -174,10 +180,6 @@ def squeezing_db_to_r(squeezing_db: float) -> float:
     return -squeezing_db * LN10 / 20.0
 
 
-def _diagonal_state(variances: np.ndarray) -> GaussianState:
-    return GaussianState(cov_factor=np.diag(np.sqrt(variances)))
-
-
 def vacuum(n: int) -> GaussianState:
     """n-mode vacuum: covariance (1/4) I.
 
@@ -186,7 +188,7 @@ def vacuum(n: int) -> GaussianState:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    return _diagonal_state(np.full(2 * n, VACUUM_VARIANCE))
+    return impure_squeezed_inputs([0.0] * n, [0.0] * n)
 
 
 def squeezed_vacuum(r: float) -> GaussianState:
@@ -197,10 +199,8 @@ def squeezed_vacuum(r: float) -> GaussianState:
     """
     if not math.isfinite(r):
         raise ValueError(f"squeezing parameter must be finite, got {r!r}")
-    return _diagonal_state(np.array([
-        VACUUM_VARIANCE * math.exp(2 * r),
-        VACUUM_VARIANCE * math.exp(-2 * r),
-    ]))
+    variances = [VACUUM_VARIANCE * math.exp(2 * r), VACUUM_VARIANCE * math.exp(-2 * r)]
+    return GaussianState(cov_factor=np.diag(np.sqrt(variances)))
 
 
 def impure_squeezed_vacuum(spec: SqueezedInputSpec) -> GaussianState:
@@ -210,9 +210,17 @@ def impure_squeezed_vacuum(spec: SqueezedInputSpec) -> GaussianState:
     diag(0.25 * 10^(a/10), 0.25 * 10^(s/10)) for antisqueezing a and
     squeezing s in dB.
     """
-    vx = VACUUM_VARIANCE * 10.0 ** (spec.antisqueezing_db / 10.0)
-    vp = VACUUM_VARIANCE * 10.0 ** (spec.squeezing_db / 10.0)
-    return _diagonal_state(np.array([vx, vp]))
+    return impure_squeezed_inputs((spec.squeezing_db,), (spec.antisqueezing_db,))
+
+
+def impure_squeezed_inputs(squeezing_db, antisqueezing_db) -> GaussianState:
+    """The :func:`tensor` of an :func:`impure_squeezed_vacuum` per level pair, in one step; levels go unchecked."""
+    n = len(squeezing_db)
+    factor = np.zeros((2 * n, 2 * n))
+    for k, (s, a) in enumerate(zip(squeezing_db, antisqueezing_db)):
+        factor[k, 2 * k] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (a / 10.0))
+        factor[n + k, 2 * k + 1] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (s / 10.0))
+    return GaussianState(cov_factor=factor)
 
 
 def tensor(states: list[GaussianState]) -> GaussianState:
@@ -248,8 +256,7 @@ def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianStat
     """Propagate a state through a passive network: F -> S F."""
     if unitary.n_modes != state.n_modes:
         raise ValueError(f"unitary acts on {unitary.n_modes} modes but state has {state.n_modes}")
-    s = unitary_to_symplectic(unitary)
-    return GaussianState(cov_factor=s @ state.cov_factor)
+    return GaussianState(cov_factor=unitary.symplectic @ state.cov_factor)
 
 
 def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
@@ -258,13 +265,33 @@ def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
     return mode - 1, state.n_modes + mode - 1
 
 
-def _mode_channel(state: GaussianState, ix: int, ip: int, gain: float, noise: np.ndarray) -> GaussianState:
-    """Scale one mode's factor rows by `gain` and append the 2 x 2 `noise` factor."""
-    scale = np.ones(2 * state.n_modes)
-    scale[[ix, ip]] = gain
-    cols = np.zeros((2 * state.n_modes, 2))
-    cols[[ix, ip]] = noise
-    return GaussianState(cov_factor=np.hstack([scale[:, None] * state.cov_factor, cols]))
+def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
+    """Scale each mode's factor rows by its gain and append its 2 x 2 noise factor (x and p rows).
+
+    A channel touches only its mode's rows, from which its noise is computed, and its own new
+    columns; so for distinct modes one pass equals the chained one-mode channels, bit for bit.
+    """
+    if not modes:
+        return state
+    m = state.cov_factor.shape[1]
+    scale = [1.0] * (2 * state.n_modes)
+    factor = np.zeros((2 * state.n_modes, m + 2 * len(modes)))
+    for col, mode, gain, (noise_x, noise_p) in zip(range(m, factor.shape[1], 2), modes, gains, noises):
+        ix, ip = _mode_indices(state, mode)
+        scale[ix] = scale[ip] = gain
+        factor[ix, col:col + 2] = noise_x
+        factor[ip, col:col + 2] = noise_p
+    factor[:, :m] = np.array(scale)[:, None] * state.cov_factor
+    return GaussianState(cov_factor=factor)
+
+
+def lossy_channels(state: GaussianState, etas: dict[int, float]) -> GaussianState:
+    """:func:`lossy_channel` on every mode of `etas` (1-based mode -> eta), in one pass."""
+    for eta in etas.values():
+        if not (0.0 <= eta <= 1.0):
+            raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    vacua = [math.sqrt((1.0 - eta) * VACUUM_VARIANCE) for eta in etas.values()]
+    return _mode_channels(state, etas, [math.sqrt(eta) for eta in etas.values()], [((v, 0.0), (0.0, v)) for v in vacua])
 
 
 def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -280,30 +307,38 @@ def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
         mode: 1-based mode index.
         eta: transmissivity in [0, 1].
     """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    ix, ip = _mode_indices(state, mode)
-    return _mode_channel(state, ix, ip, math.sqrt(eta), math.sqrt((1.0 - eta) * VACUUM_VARIANCE) * np.eye(2))
+    return lossy_channels(state, {mode: eta})
 
 
-def _rotation_noise(state: GaussianState, ix: int, ip: int, vcc: float, vss: float, vcs: float) -> np.ndarray:
-    """Lower Cholesky factor of the noise N = E[D G D^T] a random rotation adds to one mode.
+def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float, vcs: float):
+    """Rows of the lower Cholesky factor of the noise N = E[D G D^T] a random rotation adds to one mode.
 
     R = cos theta I + sin theta J = E[R] + D, J = [[0, -1], [1, 0]], with
     D = dc I + ds J of centred moments vcc = E[dc^2], vss = E[ds^2],
     vcs = E[dc ds]; G = F_m F_m^T is the mode's covariance block:
     N = vcc G + vss J G J^T + vcs (J G + G J^T).
     """
-    rows = state.cov_factor[[ix, ip]]
-    g = rows @ rows.T
-    nxx = vcc * g[0, 0] + vss * g[1, 1] - 2.0 * vcs * g[0, 1]
-    npp = vcc * g[1, 1] + vss * g[0, 0] + 2.0 * vcs * g[0, 1]
-    nxp = (vcc - vss) * g[0, 1] + vcs * (g[0, 0] - g[1, 1])
+    rows = state.cov_factor[_mode_indices(state, mode)[0]::state.n_modes]  # the mode's x and p rows
+    (gxx, gxp), (_, gpp) = (rows @ rows.T).tolist()
+    nxx = vcc * gxx + vss * gpp - 2.0 * vcs * gxp
+    npp = vcc * gpp + vss * gxx + 2.0 * vcs * gxp
+    nxp = (vcc - vss) * gxp + vcs * (gxx - gpp)
     # clipped against rounding
     lxx = math.sqrt(max(nxx, 0.0))
     lpx = nxp / lxx if lxx > 0.0 else 0.0
     lpp = math.sqrt(max(npp - lpx * lpx, 0.0))
-    return np.array([[lxx, 0.0], [lpx, lpp]])
+    return (lxx, 0.0), (lpx, lpp)
+
+
+def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianState:
+    """:func:`phase_jitter` on every mode of `sigmas` (1-based mode -> sigma), in one pass."""
+    for sigma in sigmas.values():
+        if not (sigma >= 0.0 and math.isfinite(sigma)):
+            raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
+    s2 = {mode: sigma * sigma for mode, sigma in sigmas.items() if sigma > 0.0}
+    noises = [_rotation_noise(state, mode, 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v), 0.0)
+              for mode, v in s2.items()]
+    return _mode_channels(state, s2, [math.exp(-v / 2.0) for v in s2.values()], noises)
 
 
 def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState:
@@ -319,14 +354,7 @@ def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState
         mode: 1-based mode index.
         sigma: phase standard deviation in radians, >= 0.
     """
-    if not (sigma >= 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0.0:
-        return state
-    ix, ip = _mode_indices(state, mode)
-    s2 = sigma * sigma
-    noise = _rotation_noise(state, ix, ip, 0.5 * math.expm1(-s2) ** 2, -0.5 * math.expm1(-2.0 * s2), 0.0)
-    return _mode_channel(state, ix, ip, math.exp(-s2 / 2.0), noise)
+    return phase_jitters(state, {mode: sigma})
 
 
 def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int = 200_000, seed: int = 0) -> GaussianState:
@@ -345,7 +373,6 @@ def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int 
         raise ValueError(f"sample count must be >= 1, got {samples}")
     if sigma == 0.0:
         return state
-    ix, ip = _mode_indices(state, mode)
     rng = np.random.default_rng(seed)
     # the exact E[cos] - 1, so that the sums of squares below barely cancel
     shift = math.expm1(-sigma * sigma / 2.0)
@@ -358,11 +385,11 @@ def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int 
     mean = sums / samples
     (vcc, vcs), (_, vss) = squares / samples - np.outer(mean, mean)
     c1, s1 = 1.0 + shift + mean[0], mean[1]
-    noise = _rotation_noise(state, ix, ip, vcc, vss, vcs)
+    noise = _rotation_noise(state, mode, vcc, vss, vcs)
     phases = np.ones(state.n_modes, dtype=complex)
     phases[mode - 1] = np.exp(1j * math.atan2(s1, c1))
     turned = apply_unitary(state, ComplexUnitary(np.diag(phases)))
-    return _mode_channel(turned, ix, ip, math.hypot(c1, s1), noise)
+    return _mode_channels(turned, [mode], [math.hypot(c1, s1)], [noise])
 
 
 def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:

@@ -8,7 +8,7 @@ Three beam splitters suffice for each network.
 
 A program stores its factors in matrix-product order, so the LAST element of
 the list acts on the input first.  The netlist text format mirrors that order
-line by line.
+line by line.  The constant matrices are built once, on first use, and shared.
 
 Mode indices are 1-based everywhere in this module.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -150,6 +150,7 @@ def program_matrix(program: NetworkProgram) -> ComplexUnitary:
     return ComplexUnitary(product)
 
 
+@cache
 def linear_cluster_unitary() -> ComplexUnitary:
     """Constant network producing the four-mode linear cluster state."""
     return ComplexUnitary(np.array([
@@ -160,6 +161,7 @@ def linear_cluster_unitary() -> ComplexUnitary:
     ]))
 
 
+@cache
 def square_cluster_unitary() -> ComplexUnitary:
     """Constant network producing the four-mode square cluster state."""
     return ComplexUnitary(np.array([
@@ -170,6 +172,7 @@ def square_cluster_unitary() -> ComplexUnitary:
     ]))
 
 
+@cache
 def tshape_cluster_unitary() -> ComplexUnitary:
     """Constant network producing the four-mode T-shape cluster state."""
     return ComplexUnitary(np.array([
@@ -180,6 +183,7 @@ def tshape_cluster_unitary() -> ComplexUnitary:
     ]))
 
 
+@cache
 def linear_to_square_phases() -> ComplexUnitary:
     """Mode-wise phases diag(-1, -i, i, 1) turning the linear network into the square one.
 

@@ -23,6 +23,7 @@ from cvcluster.analysis import (
 from cvcluster.gaussian import (
     apply_unitary,
     lossy_channel,
+    phase_jitter,
     squeezing_db_to_r,
     vacuum,
 )
@@ -243,6 +244,15 @@ class TestFullInseparabilityVerdict:
         assert square_report.delegated_to == "linear4"
         assert square_report.graph_name == "square4"
         assert square_report.lhs_values == pytest.approx(linear_report.lhs_values, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_reused_nullifier_variances_give_the_same_verdict(self, name):
+        make_unitary, make_graph = NETWORKS[name]
+        state = apply_unitary(impure_inputs([-5.5, -6.3, -5.8, -6.0], [9.1, 11.9, 10.5, 11.2]), make_unitary())
+        state = phase_jitter(lossy_channel(state, 2, 0.9), 3, 0.05)
+        graph = make_graph()
+        reused = full_inseparability_verdict(state, graph, nullifier_report(state, graph))
+        assert reused == full_inseparability_verdict(state, graph)
 
     def test_custom_graph_rejected(self):
         graph = GraphSpec(4, frozenset({(1, 2), (3, 4)}), "custom")

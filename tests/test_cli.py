@@ -41,6 +41,15 @@ class TestSimulate:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["antisqueezing_db"] == [4.2] * 4
 
+    def test_zero_squeezing_mirrors_to_unsigned_zero(self, capsys):
+        # negating 0.0 would print the antisqueezing as -0.0
+        code, out, _ = run_cli(capsys, "simulate", "--network", "linear4", "--squeezing-db=0")
+        assert code == EXIT_OK
+        assert "antisqueezing [dB] : 0.0 0.0 0.0 0.0\n" in out
+        code, out, _ = run_cli(capsys, "simulate", "--network", "linear4", "--squeezing-db=0", "--format", "json")
+        assert code == EXIT_OK
+        assert [math.copysign(1.0, a) for a in json.loads(out)["config"]["antisqueezing_db"]] == [1.0] * 4
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--network", "tshape4", "--squeezing-db=-6")
         assert code == EXIT_OK

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -13,10 +14,13 @@ from cvcluster.gaussian import (
     SqueezedInputSpec,
     apply_unitary,
     combination_variance,
+    impure_squeezed_inputs,
     impure_squeezed_vacuum,
     lossy_channel,
+    lossy_channels,
     phase_jitter,
     phase_jitter_mc,
+    phase_jitters,
     squeezed_vacuum,
     squeezing_db_to_r,
     symplectic_form,
@@ -172,6 +176,37 @@ class TestApplyUnitary:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="modes"):
             apply_unitary(vacuum(3), linear_cluster_unitary())
+
+
+ETA = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+SIGMA = st.just(0.0) | st.floats(1e-8, 10.0)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_channels_equal_the_one_mode_chain(data):
+    # one pass per channel kind over any subset of modes, in any order, gives
+    # the factor of the one-mode channels chained in that order, bit for bit
+    n = data.draw(st.integers(1, 64), label="modes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = rng.uniform(-30.0, 0.0, n)
+    state = apply_unitary(impure_squeezed_inputs(levels, -levels + rng.uniform(0.0, 6.0, n)), haar_unitary(n, rng))
+    for kind, one_pass, one_mode, value in (
+        ("loss", lossy_channels, lossy_channel, ETA), ("jitter", phase_jitters, phase_jitter, SIGMA),
+    ):
+        order = data.draw(st.permutations(range(1, n + 1)), label=f"{kind} order")
+        values = {mode: data.draw(value, label=f"{kind} {mode}") for mode in order[:data.draw(st.integers(0, n))]}
+        chained = state
+        for mode, v in values.items():
+            chained = one_mode(chained, mode, v)
+        state = one_pass(state, values)
+        assert np.array_equal(state.cov_factor, chained.cov_factor)
+
+
+def test_inputs_built_at_once_equal_their_tensor():
+    s, a = [-6.3, -3000.0, 0.0, -0.5], [11.0, 3000.0, 0.0, 0.5]
+    parts = tensor([impure_squeezed_vacuum(SqueezedInputSpec(si, ai)) for si, ai in zip(s, a)])
+    assert np.array_equal(impure_squeezed_inputs(s, a).cov_factor, parts.cov_factor)
 
 
 class TestLossyChannel:

@@ -46,6 +46,19 @@ CASES = {
         "--loss=0.9,0.95,0.92,0.97", "--loss-placement", "pre", "--jitter=0.03,0.01,0.02,0.05",
         "--format", "json",
     ],
+    "tshape4_post_loss_jitter.json": [
+        "simulate", "--network", "tshape4", *IMPERFECT,
+        "--loss=0.95,1,0.9,0.85", "--loss-placement", "post", "--jitter=0.02,0,0.05,0.01",
+        "--format", "json",
+    ],
+    "square4_jitter_sweep.csv": [
+        "sweep", "--config", MEASURED_GAP, "--network", "square4",
+        "--axis", "jitter", "--from", "0", "--to", "0.2", "--steps", "21",
+    ],
+    "tshape4_pre_loss_sweep.csv": [
+        "sweep", "--network", "tshape4", *IMPERFECT, "--loss-placement", "pre", "--jitter=0.02,0,0.05,0.01",
+        "--axis", "loss", "--from", "1", "--to", "0.5", "--steps", "21",
+    ],
 }
 
 

@@ -247,6 +247,33 @@ class TestSweep:
         for value, report in zip(result.values, result.reports):
             assert report.nullifiers.levels_db == pytest.approx((value,) * 4, abs=1e-9)
 
+    def test_squeezing_sweep_to_zero_keeps_antisqueezing_unsigned(self):
+        # a mirrored mode's antisqueezing is the negated axis value, which must not become -0.0
+        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0)
+        last = run_sweep(cfg, "squeezing_db", -6.0, 0.0, 3).reports[-1]
+        assert [math.copysign(1.0, a) for a in last.config.antisqueezing_db] == [1.0] * 4
+        assert "antisqueezing [dB] : 0.0 0.0 0.0 0.0\n" in last.to_text()
+
+    def test_network_matrices_are_built_once_not_per_point(self, monkeypatch):
+        counts = {"ComplexUnitary": 0, "unitary_to_symplectic": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gaussian.ComplexUnitary, "__init__", counted("ComplexUnitary", gaussian.ComplexUnitary.__init__))
+        monkeypatch.setattr(gaussian, "unitary_to_symplectic", counted("unitary_to_symplectic", gaussian.unitary_to_symplectic))
+        cfg = ScenarioConfig.create("square4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
+        run_sweep(cfg, "loss", 0.5, 1.0, 1)  # the first use builds what later sweeps share
+        per_sweep = []
+        for steps in (3, 30):
+            counts.update(dict.fromkeys(counts, 0))
+            run_sweep(cfg, "loss", 0.5, 1.0, steps)
+            per_sweep.append(dict(counts))
+        assert per_sweep[0] == per_sweep[1]
+
     def test_loss_sweep_monotone_variances(self):
         cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         result = run_sweep(cfg, "loss", 1.0, 0.0, 6)
