@@ -50,7 +50,6 @@ from cvcluster.analysis import (
     UnsupportedGraphError,
     WitnessReport,
     analytic_residual_variances,
-    equivalence_identities_check,
     full_inseparability_verdict,
     linear4,
     nullifier_coefficients,
@@ -85,7 +84,6 @@ __all__ = [
     "apply_unitary",
     "combination_variance",
     "element_matrix",
-    "equivalence_identities_check",
     "full_inseparability_verdict",
     "impure_squeezed_vacuum",
     "linear4",

@@ -16,6 +16,7 @@ Mode indices are 1-based everywhere in this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -36,13 +37,27 @@ _ONE_MODE_KINDS = ("F", "Finv")
 _TWO_MODE_KINDS = ("BS+", "BS-", "SWAP")
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool: int, float, a numpy scalar, a Fraction."""
+    # exact float and int first: the common case, and cheaper than the ABC check
+    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def as_integer(value) -> int | None:
+    """`value` as an int if it is a real number equal to one (numpy ints and 2.0 pass), else None."""
+    if is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    return None
+
+
 @dataclass(frozen=True)
 class NetworkElement:
     """One elementary factor: kind in {F, Finv, BS+, BS-, SWAP}.
 
-    Beam splitters carry a transmittance parameter t in (0, 1); the other
-    kinds have t = None.  Modes are 1-based and must be distinct for
-    two-mode elements.
+    Beam splitters carry a real transmittance parameter t in (0, 1); the
+    other kinds have t = None.  Modes are 1-based integers and must be
+    distinct for two-mode elements.  A field of the wrong type is a
+    ValueError naming it, never coerced.
     """
 
     kind: str
@@ -52,7 +67,12 @@ class NetworkElement:
     def __post_init__(self):
         if self.kind not in _ONE_MODE_KINDS + _TWO_MODE_KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        modes = tuple(int(m) for m in self.modes)
+        try:
+            modes = tuple(as_integer(m) for m in self.modes)
+        except TypeError:
+            modes = (None,)
+        if None in modes:
+            raise ValueError(f"modes: expected integer mode indices, got {self.modes!r}")
         object.__setattr__(self, "modes", modes)
         want = 1 if self.kind in _ONE_MODE_KINDS else 2
         if len(modes) != want:
@@ -62,11 +82,11 @@ class NetworkElement:
         if len(modes) == 2 and modes[0] == modes[1]:
             raise ValueError(f"two-mode element needs distinct modes, got {modes}")
         if self.kind.startswith("BS"):
-            if self.t is None or not (0.0 < self.t < 1.0):
-                raise ValueError(f"beam-splitter transmittance must lie in (0, 1), got {self.t!r}")
+            if not is_real(self.t) or not (0.0 < self.t < 1.0):
+                raise ValueError(f"t: beam-splitter transmittance must be a real number in (0, 1), got {self.t!r}")
             object.__setattr__(self, "t", float(self.t))
         elif self.t is not None:
-            raise ValueError(f"{self.kind} takes no transmittance parameter")
+            raise ValueError(f"t: {self.kind} takes no transmittance parameter")
 
 
 def fourier(mode: int) -> NetworkElement:

@@ -12,9 +12,9 @@ Runs are deterministic: identical configs produce byte-identical JSON.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +42,12 @@ from cvcluster.gaussian import (
     squeezing_db_to_r,
 )
 from cvcluster.networks import (
+    as_integer,
+    is_real,
     linear_cluster_unitary,
     linear_program,
     linear_to_square_phases,
-    load_netlist,
+    parse_netlist,
     program_matrix,
     square_cluster_unitary,
     tshape_cluster_unitary,
@@ -70,16 +72,12 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _is_real(value) -> bool:
-    # exact float and int first: the common case, and cheaper than the ABC check
-    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-
-
 def _integer(field: str, value) -> int:
     """`value` as an int if it equals one; a bool, a string or a fraction is a ConfigError on `field`."""
-    if _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        return int(value)
-    raise ConfigError(field, f"expected an integer, got {value!r}")
+    integer = as_integer(value)
+    if integer is None:
+        raise ConfigError(field, f"expected an integer, got {value!r}")
+    return integer
 
 
 def _lists(value):
@@ -87,14 +85,45 @@ def _lists(value):
     return [_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _load_program(path: str):
-    """Parse a netlist file; a missing or malformed file is a ConfigError on `network`."""
+# Most netlist texts, and apart from them most custom graphs, a process keeps
+# built; the least recently used is dropped first.  A netlist entry holds its
+# text, the n x n complex unitary and, once a run has used it, the 2n x 2n
+# symplectic: 48 n^2 bytes, 192 KiB at MAX_NETLIST_MODES.  A graph entry holds
+# its edges and, once used, its nullifier table of 16 n^2 bytes.  Both caches
+# full at 64 modes hold 8 MiB of matrices beside the texts; unbounded, a
+# process fed new netlists would grow without end.
+NETWORK_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=NETWORK_CACHE_SIZE)
+def _netlist_unitary(text: str) -> ComplexUnitary:
+    """The checked unitary of a netlist text, built once per text."""
     try:
-        return load_netlist(path)
-    except OSError as exc:
-        raise ConfigError("network", f"cannot read netlist {path!r}: {exc}") from None
+        return program_matrix(parse_netlist(text))
     except ValueError as exc:
         raise ConfigError("network", str(exc)) from None
+
+
+def _load_netlist(path: str) -> ComplexUnitary:
+    """Read a netlist file and give its unitary; a missing or malformed file is a ConfigError on `network`.
+
+    The file is read on every call, so an edited file takes effect at once;
+    its text is the cache key.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError("network", f"cannot read netlist {path!r}: {exc}") from None
+    except ValueError as exc:  # not UTF-8
+        raise ConfigError("network", str(exc)) from None
+    return _netlist_unitary(text)
+
+
+@functools.lru_cache(maxsize=NETWORK_CACHE_SIZE)
+def _custom_graph(n_nodes: int, edges: frozenset) -> GraphSpec:
+    """The custom cluster graph of a netlist config, with its nullifier table, built once per edge set."""
+    return GraphSpec(n_nodes, edges, "custom")
 
 
 @dataclass(frozen=True)
@@ -130,7 +159,7 @@ class ScenarioConfig:
             raise ConfigError("network", f"expected a network name or netlist path, got {self.network!r}")
         raw = {field: getattr(self, field) for field in _PER_MODE_DEFAULTS}
         for field, value in raw.items():
-            if value is not None and not _is_real(value):
+            if value is not None and not is_real(value):
                 try:
                     value = list(value)
                 except TypeError:
@@ -141,7 +170,7 @@ class ScenarioConfig:
         else:
             n = next((len(v) for v in raw.values() if isinstance(v, list)), None)
             if n is None:
-                n = _load_program(self.network).n_modes
+                n = _load_netlist(self.network).n_modes
         expanded = {}
         for field, default in _PER_MODE_DEFAULTS.items():
             value = raw[field]
@@ -152,7 +181,7 @@ class ScenarioConfig:
             if len(items) != n:
                 raise ConfigError(field, f"expected one value per mode ({n} modes), got {len(items)}")
             try:  # NaN for anything but a real number, which the finite check rejects
-                values = tuple(float(v) if _is_real(v) else math.nan for v in items)
+                values = tuple(float(v) if is_real(v) else math.nan for v in items)
             except OverflowError:
                 values = (math.nan,)
             if not all(math.isfinite(v) for v in values):
@@ -187,7 +216,7 @@ class ScenarioConfig:
                 raise ConfigError("graph_edges", f"expected a list of node pairs, got {self.graph_edges!r}") from None
             edges = tuple((_integer("graph_edges", a), _integer("graph_edges", b)) for a, b in pairs)
             try:
-                GraphSpec(n, frozenset(edges))
+                _custom_graph(n, frozenset(edges))
             except ValueError as exc:
                 raise ConfigError("graph_edges", str(exc)) from None
             object.__setattr__(self, "graph_edges", edges)
@@ -256,10 +285,10 @@ def _resolve_network(cfg: ScenarioConfig) -> tuple[ComplexUnitary, GraphSpec | N
     """
     if cfg.network in NETWORK_UNITARIES:
         return NETWORK_UNITARIES[cfg.network](), graph_by_name(cfg.network)
-    unitary = program_matrix(_load_program(cfg.network))
+    unitary = _load_netlist(cfg.network)
     if unitary.n_modes != cfg.n_modes:
         raise ConfigError("squeezing_db", f"netlist has {unitary.n_modes} modes, config has {cfg.n_modes} values")
-    graph = None if cfg.graph_edges is None else GraphSpec(unitary.n_modes, frozenset(cfg.graph_edges), "custom")
+    graph = None if cfg.graph_edges is None else _custom_graph(cfg.n_modes, frozenset(cfg.graph_edges))
     return unitary, graph
 
 
@@ -305,13 +334,15 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
+@functools.cache
 def verify_decompositions() -> DecompositionReport:
     """Compare each factor string against its constant matrix.
 
     Reports the raw entrywise deviation, the best-fitting global phase with
     the deviation after removing it, and the deviation of the output
     covariances when both constructions act on identical squeezed inputs.
-    Discrepancies are reported, never raised.
+    Discrepancies are reported, never raised.  The report is a process
+    constant, built on first use and shared.
     """
     levels = [20.0 * r / math.log(10.0) for r in (0.3, 0.5, 0.7, 0.9)]
     probe = impure_squeezed_inputs([-v for v in levels], levels)

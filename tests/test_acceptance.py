@@ -15,7 +15,6 @@ import pytest
 
 from cvcluster.analysis import (
     analytic_residual_variances,
-    equivalence_identities_check,
     full_inseparability_verdict,
     linear4,
     nullifier_report,
@@ -47,7 +46,15 @@ from cvcluster.networks import (
 )
 from cvcluster.scenarios import load_config, run_scenario
 
-from helpers import NETWORKS, cluster_state, db_variance, graph_for, impure_inputs, pure_inputs
+from helpers import (
+    NETWORKS,
+    cluster_state,
+    db_to_variance,
+    equivalence_identities_check,
+    graph_for,
+    impure_inputs,
+    pure_inputs,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -157,10 +164,10 @@ def test_criterion_4_antisqueezing_elimination():
 def test_criterion_5_reported_witness_values():
     """Measured dB levels reconstruct the published witness sums."""
     refs_l = (0.5, 0.75, 0.75, 0.5)
-    v = [db_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs_l)]
+    v = [db_to_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs_l)]
     linear_lhs = witness_evaluate([(v[0], v[1]), (v[2], v[1]), (v[2], v[3])]).lhs_values
     refs_t = (1.0, 0.5, 0.5, 0.5)
-    w = [db_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs_t)]
+    w = [db_to_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs_t)]
     tshape_lhs = witness_evaluate([(w[1], w[0]), (w[2], w[0]), (w[3], w[0])]).lhs_values
     linear_ok = np.allclose(linear_lhs, (0.34, 0.42, 0.35), atol=0.01)
     tshape_ok = np.allclose(tshape_lhs, (0.42, 0.43, 0.42), atol=0.03)

@@ -9,8 +9,6 @@ from cvcluster.analysis import (
     GraphSpec,
     UnsupportedGraphError,
     analytic_residual_variances,
-    db_to_variance,
-    equivalence_identities_check,
     full_inseparability_verdict,
     graph_by_name,
     linear4,
@@ -26,9 +24,17 @@ from cvcluster.gaussian import (
     phase_jitter,
     squeezing_db_to_r,
     vacuum,
+    variance_to_db,
 )
 
-from helpers import NETWORKS, cluster_state, db_variance, graph_for, impure_inputs
+from helpers import (
+    NETWORKS,
+    cluster_state,
+    db_to_variance,
+    equivalence_identities_check,
+    graph_for,
+    impure_inputs,
+)
 
 TOL = 1e-12
 
@@ -182,14 +188,14 @@ class TestEquivalenceIdentities:
 class TestWitnessEvaluate:
     def test_linear_measured_levels(self):
         refs = (0.5, 0.75, 0.75, 0.5)
-        v = [db_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs)]
+        v = [db_to_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs)]
         report = witness_evaluate([(v[0], v[1]), (v[2], v[1]), (v[2], v[3])])
         assert report.lhs_values == pytest.approx((0.34, 0.42, 0.35), abs=0.01)
         assert report.fully_inseparable
 
     def test_tshape_measured_levels(self):
         refs = (1.0, 0.5, 0.5, 0.5)
-        v = [db_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs)]
+        v = [db_to_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs)]
         report = witness_evaluate([(v[1], v[0]), (v[2], v[0]), (v[3], v[0])])
         # one-decimal dB readings reconstruct to ~(0.40, 0.41, 0.40)
         assert report.lhs_values == pytest.approx((0.42, 0.43, 0.42), abs=0.03)
@@ -311,8 +317,11 @@ class TestNetworkProperties:
 
 
 class TestDbToVariance:
+    """The helper the witness tests build their variances with."""
+
     def test_inverts_variance_to_db(self):
         assert db_to_variance(-5.4, 0.5) == pytest.approx(0.5 * 10 ** -0.54, abs=1e-15)
+        assert variance_to_db(db_to_variance(-5.4, 0.5), 0.5) == pytest.approx(-5.4, abs=1e-12)
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and explains in CHANGES.md which outputs moved and why.  Netlist runs are left
-out, since their JSON carries the netlist's file path.
+and explains in CHANGES.md which outputs moved and why; it also rewrites
+`linear4.net`, the netlist of the linear-cluster factor program.  Netlist runs
+are pinned through a sweep, whose CSV carries no file path.
 """
 
 import contextlib
@@ -18,10 +19,12 @@ from pathlib import Path
 import pytest
 
 from cvcluster.cli import EXIT_OK, main
+from cvcluster.networks import emit_netlist, linear_program
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MEASURED_GAP = str(ROOT / "configs" / "measured_gap.json")
+LINEAR_NETLIST = GOLDEN / "linear4.net"
 IMPERFECT = [
     "--squeezing-db=-5.5,-6.3,-5.8,-6.0", "--antisqueezing-db=9.1,11.9,10.5,11.2",
 ]
@@ -59,6 +62,11 @@ CASES = {
         "sweep", "--network", "tshape4", *IMPERFECT, "--loss-placement", "pre", "--jitter=0.02,0,0.05,0.01",
         "--axis", "loss", "--from", "1", "--to", "0.5", "--steps", "21",
     ],
+    "linear4_netlist_sweep.csv": [
+        "sweep", "--network", str(LINEAR_NETLIST), "--graph-edges", "1-2,2-3,3-4", *IMPERFECT,
+        "--loss=0.95,1,0.9,0.85", "--jitter=0.02,0,0.05,0.01",
+        "--axis", "loss", "--from", "1", "--to", "0.5", "--steps", "21",
+    ],
 }
 
 
@@ -78,6 +86,7 @@ def test_cli_output_matches_golden_file(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    LINEAR_NETLIST.write_text(emit_netlist(linear_program()), encoding="utf-8")
     for name, argv in CASES.items():
         (GOLDEN / name).write_text(cli_stdout(argv), encoding="utf-8")
         print(f"wrote {GOLDEN / name}", file=sys.stderr)

@@ -102,6 +102,30 @@ class TestElements:
         with pytest.raises(ValueError, match="kind"):
             NetworkElement("BS", (1, 2), 0.5)
 
+    @pytest.mark.parametrize("modes", [(1.7,), (True,), ("1",), (None,), 3, (np.float64(0.5),)])
+    def test_non_integer_modes_rejected(self, modes):
+        with pytest.raises(ValueError, match="^modes: "):
+            NetworkElement("F", modes)
+
+    @pytest.mark.parametrize("modes", [("1", 2), (1, True), (1, 2.5)])
+    def test_non_integer_two_mode_indices_rejected(self, modes):
+        with pytest.raises(ValueError, match="^modes: "):
+            NetworkElement("SWAP", modes)
+
+    def test_integral_modes_pass_as_ints(self):
+        element = NetworkElement("BS+", (np.int64(1), 2.0), 0.5)
+        assert element.modes == (1, 2)
+        assert all(type(m) is int for m in element.modes)
+
+    @pytest.mark.parametrize("t", ["0.5", True, None, [0.5], complex(0.5), math.nan])
+    def test_non_real_transmittance_rejected(self, t):
+        with pytest.raises(ValueError, match="^t: "):
+            NetworkElement("BS-", (1, 2), t)
+
+    def test_real_transmittance_stored_as_float(self):
+        element = NetworkElement("BS-", (1, 2), np.float32(0.5))
+        assert type(element.t) is float and element.t == 0.5
+
 
 class TestPrograms:
     def test_empty_program_is_identity(self):

@@ -1,12 +1,14 @@
 """Tests for scenario configs, runs, sweeps, and report serialization."""
 
+import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cvcluster import gaussian
+from cvcluster import gaussian, networks, scenarios
 from cvcluster.analysis import UnsupportedGraphError
 from cvcluster.cli import main
 from cvcluster.networks import emit_netlist, linear_program, tshape_program
@@ -28,6 +30,27 @@ def linear_netlist(tmp_path):
     path = tmp_path / "linear.net"
     path.write_text(emit_netlist(linear_program()))
     return str(path)
+
+
+def counting(counts: dict, name: str, fn):
+    """`fn`, adding one to `counts[name]` per call."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_network_builds(monkeypatch) -> dict:
+    """Count netlist parses, factor products and unitary checks, wherever cvcluster's modules call them."""
+    counts = dict.fromkeys(("parse_netlist", "program_matrix", "ComplexUnitary"), 0)
+    for name in ("parse_netlist", "program_matrix"):
+        original = getattr(networks, name)
+        for module in (networks, scenarios):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(counts, name, original))
+    monkeypatch.setattr(gaussian.ComplexUnitary, "__init__",
+                        counting(counts, "ComplexUnitary", gaussian.ComplexUnitary.__init__))
+    return counts
 
 
 class TestScenarioConfig:
@@ -231,6 +254,13 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="network"):
             run_scenario(ScenarioConfig(network="/no/such/file.net"))
 
+    @pytest.mark.parametrize("content", [b"\xff\xfeMODES 4\n", b"MODES 4\nF 1.5\n"], ids=["not-utf8", "bad-mode"])
+    def test_unreadable_netlist_is_config_error(self, tmp_path, content):
+        path = tmp_path / "bad.net"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="^network: "):
+            run_scenario(ScenarioConfig(network=str(path), squeezing_db=[-6.0] * 4))
+
     def test_text_report_formatting(self):
         cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         text = run_scenario(cfg).to_text()
@@ -256,15 +286,10 @@ class TestSweep:
 
     def test_network_matrices_are_built_once_not_per_point(self, monkeypatch):
         counts = {"ComplexUnitary": 0, "unitary_to_symplectic": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(gaussian.ComplexUnitary, "__init__", counted("ComplexUnitary", gaussian.ComplexUnitary.__init__))
-        monkeypatch.setattr(gaussian, "unitary_to_symplectic", counted("unitary_to_symplectic", gaussian.unitary_to_symplectic))
+        monkeypatch.setattr(gaussian.ComplexUnitary, "__init__",
+                            counting(counts, "ComplexUnitary", gaussian.ComplexUnitary.__init__))
+        monkeypatch.setattr(gaussian, "unitary_to_symplectic",
+                            counting(counts, "unitary_to_symplectic", gaussian.unitary_to_symplectic))
         cfg = ScenarioConfig.create("square4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
         run_sweep(cfg, "loss", 0.5, 1.0, 1)  # the first use builds what later sweeps share
         per_sweep = []
@@ -337,3 +362,52 @@ class TestVerifyDecompositions:
         report = run_scenario(cfg)
         assert report.decompositions is not None
         assert "decomposition checks" in report.to_text()
+
+    def test_built_once_and_equal_on_every_call(self, monkeypatch):
+        first = verify_decompositions()
+        counts = count_network_builds(monkeypatch)
+        again = [verify_decompositions() for _ in range(3)]
+        attached = run_scenario(ScenarioConfig.create("tshape4", verify_decompositions=True)).decompositions
+        assert counts == dict.fromkeys(counts, 0)
+        assert all(report == first for report in again + [attached])
+
+
+class TestNetworkCache:
+    def test_netlist_is_keyed_by_its_text_not_its_path(self, tmp_path):
+        path = tmp_path / "network.net"
+        path.write_text(emit_netlist(linear_program()))
+        cfg = ScenarioConfig.create(str(path), squeezing_db=[-6.0, -5.0, -4.0, -3.0], graph_edges=LINEAR_EDGES)
+        linear = run_scenario(cfg)
+        path.write_text(emit_netlist(tshape_program()))
+        rewritten = run_scenario(cfg)
+        fresh = tmp_path / "tshape.net"
+        fresh.write_text(emit_netlist(tshape_program()))
+        assert rewritten.nullifiers != linear.nullifiers
+        assert rewritten.nullifiers == run_scenario(dataclasses.replace(cfg, network=str(fresh))).nullifiers
+
+    def test_repeated_netlist_runs_build_the_network_once(self, monkeypatch, linear_netlist):
+        counts = count_network_builds(monkeypatch)
+        data = dict(network=linear_netlist, squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04,
+                    graph_edges=LINEAR_EDGES)
+        run_scenario(ScenarioConfig.from_dict(data))  # the first use builds what later runs share
+        per_batch = []
+        for runs in (1, 10):
+            counts.update(dict.fromkeys(counts, 0))
+            for _ in range(runs):
+                run_scenario(ScenarioConfig.from_dict(data))
+            per_batch.append(dict(counts))
+        assert per_batch[0] == per_batch[1]
+
+    def test_caches_stay_within_their_bound(self, tmp_path):
+        pairs = list(itertools.combinations(range(1, 5), 2))
+        edge_sets = [edges for k in range(1, len(pairs) + 1) for edges in itertools.combinations(pairs, k)]
+        assert len(edge_sets) > scenarios.NETWORK_CACHE_SIZE
+        text = emit_netlist(linear_program())
+        path = tmp_path / "network.net"
+        for k, edges in enumerate(edge_sets):
+            path.write_text(f"# variant {k}\n{text}")
+            run_scenario(ScenarioConfig.create(str(path), squeezing_db=-6.0, graph_edges=edges))
+        for cached in (scenarios._netlist_unitary, scenarios._custom_graph):
+            info = cached.cache_info()
+            assert info.maxsize == scenarios.NETWORK_CACHE_SIZE
+            assert info.currsize == scenarios.NETWORK_CACHE_SIZE
