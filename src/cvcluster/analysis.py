@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from cvcluster.gaussian import (
     combination_variance,
     variance_to_db,
 )
-from cvcluster.networks import linear_to_square_phases
+from cvcluster.networks import as_integer, linear_to_square_phases
 
 
 class UnsupportedGraphError(ValueError):
@@ -46,16 +47,26 @@ WITNESS_PAIRS = {
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Cluster graph: node count, undirected edge set, and a name label."""
+    """Cluster graph: node count, undirected edge set, and a name label.
+
+    The node count and the edge labels are integers (2.0 passes, 2.5, "2" and
+    True do not); a wrong one is a ValueError naming its field.
+    """
 
     n_nodes: int
     edges: frozenset[tuple[int, int]]
     name: str = "custom"
 
     def __post_init__(self):
+        n_nodes = as_integer(self.n_nodes)
+        if n_nodes is None or n_nodes < 1:
+            raise ValueError(f"n_nodes: expected an integer >= 1, got {self.n_nodes!r}")
+        object.__setattr__(self, "n_nodes", n_nodes)
         norm = set()
         for edge in self.edges:
-            a, b = edge
+            a, b = (as_integer(node) for node in edge)
+            if a is None or b is None:
+                raise ValueError(f"edges: expected integer node labels, got {edge!r}")
             if a == b:
                 raise ValueError(f"self-loop on node {a} is not allowed")
             if not (1 <= a <= self.n_nodes and 1 <= b <= self.n_nodes):
@@ -105,13 +116,19 @@ def nullifier_coefficients(graph: GraphSpec, a: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullifierEntry:
-    """Measured data for one node's nullifier."""
+    """One node's measured nullifier variance, its vacuum-input reference and closed-form value.
+
+    The dB level is derived from the variance and the reference, never stored.
+    """
 
     node: int
     variance: float
     reference: float
-    level_db: float
     analytic_variance: float | None = None
+
+    @property
+    def level_db(self) -> float:
+        return variance_to_db(self.variance, self.reference)
 
 
 @dataclass(frozen=True)
@@ -120,6 +137,24 @@ class NullifierReport:
 
     graph_name: str
     entries: tuple[NullifierEntry, ...]
+
+    @classmethod
+    def for_graph(cls, graph: GraphSpec, variances, squeezing_r=None) -> NullifierReport:
+        """The report of one variance per node of `graph`, in node order.
+
+        The reference of node a is its vacuum-input variance (1 + |N(a)|)/4.
+        For the three built-in graphs, passing the input squeezing parameters
+        fills the closed-form expectation column; custom graphs ignore them.
+        """
+        if len(variances) != graph.n_nodes:
+            raise ValueError(f"{len(variances)} variances for the {graph.n_nodes} nodes of graph {graph.name!r}")
+        analytic = [None] * graph.n_nodes
+        if squeezing_r is not None and graph.name in NAMED_GRAPH_EDGES:
+            analytic = analytic_residual_variances(graph.name, squeezing_r).tolist()
+        return cls(graph.name, tuple(
+            NullifierEntry(a, var, ref, ideal)
+            for a, (var, (_, ref), ideal) in enumerate(zip(variances, graph.nullifiers, analytic), start=1)
+        ))
 
     @property
     def variances(self) -> tuple[float, ...]:
@@ -137,10 +172,6 @@ def nullifier_report(
 ) -> NullifierReport:
     """Evaluate every node's nullifier variance on a state.
 
-    The dB level of node a is taken against its vacuum-input reference
-    (1 + |N(a)|)/4.  For the three built-in graphs, passing the input
-    squeezing parameters fills the closed-form expectation column.
-
     Args:
         state: the candidate cluster state.
         graph: graph defining the nullifier of each node.
@@ -149,20 +180,8 @@ def nullifier_report(
     """
     if state.n_modes != graph.n_nodes:
         raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
-    analytic = None
-    if squeezing_r is not None and graph.name in NAMED_GRAPH_EDGES:
-        analytic = analytic_residual_variances(graph.name, squeezing_r)
-    entries = []
-    for a, (coeffs, ref) in enumerate(graph.nullifiers, start=1):
-        var = combination_variance(state, coeffs)
-        entries.append(NullifierEntry(
-            node=a,
-            variance=var,
-            reference=ref,
-            level_db=variance_to_db(var, ref),
-            analytic_variance=None if analytic is None else float(analytic[a - 1]),
-        ))
-    return NullifierReport(graph_name=graph.name, entries=tuple(entries))
+    variances = [combination_variance(state, coeffs) for coeffs, _ in graph.nullifiers]
+    return NullifierReport.for_graph(graph, variances, squeezing_r)
 
 
 def analytic_residual_variances(kind: str, r) -> np.ndarray:
@@ -204,17 +223,20 @@ def analytic_residual_variances(kind: str, r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WitnessInequality:
-    """One pairwise inequality: sum of two nullifier variances against the bound 1."""
+    """One pairwise inequality: a sum of two nullifier variances, satisfied below the bound 1."""
 
     label: str
     lhs: float
-    bound: float
-    satisfied: bool
+    bound: ClassVar[float] = 1.0
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs < self.bound
 
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of the full-inseparability test.
+    """Outcome of the full-inseparability test: full inseparability holds when every inequality is satisfied.
 
     `delegated_to` is set when the verdict was computed on a locally
     equivalent graph (the square state inherits the linear-state
@@ -223,8 +245,31 @@ class WitnessReport:
 
     graph_name: str
     inequalities: tuple[WitnessInequality, ...]
-    fully_inseparable: bool
     delegated_to: str | None = None
+
+    @classmethod
+    def for_graph(cls, graph: GraphSpec, lhs) -> WitnessReport:
+        """The report of a built-in graph's inequality sums, one per pair of `WITNESS_PAIRS`.
+
+        square4 carries the linear4 inequalities, as computed on the locally
+        equivalent linear state; other graphs without a pairing raise
+        :class:`UnsupportedGraphError`.
+        """
+        tested = "linear4" if graph.name == "square4" else graph.name
+        if tested not in WITNESS_PAIRS:
+            raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
+        pairs = WITNESS_PAIRS[tested]
+        if len(lhs) != len(pairs):
+            raise ValueError(f"{len(lhs)} sums for the {len(pairs)} inequalities of graph {graph.name!r}")
+        return cls(
+            graph_name=graph.name,
+            inequalities=tuple(WitnessInequality(f"node{a}+node{b}", x) for (a, b), x in zip(pairs, lhs)),
+            delegated_to=None if tested == graph.name else tested,
+        )
+
+    @property
+    def fully_inseparable(self) -> bool:
+        return all(i.satisfied for i in self.inequalities)
 
     @property
     def lhs_values(self) -> tuple[float, ...]:
@@ -244,17 +289,10 @@ def witness_evaluate(pairs, labels=None, graph_name: str = "custom") -> WitnessR
         labels = [f"pair{i}" for i in range(1, len(pairs) + 1)]
     if len(labels) != len(pairs):
         raise ValueError(f"{len(labels)} labels for {len(pairs)} pairs")
-    inequalities = []
     for label, (va, vb) in zip(labels, pairs):
         if va <= 0.0 or vb <= 0.0:
             raise ValueError(f"variances must be positive, got ({va}, {vb}) in {label}")
-        lhs = va + vb
-        inequalities.append(WitnessInequality(label=label, lhs=lhs, bound=1.0, satisfied=lhs < 1.0))
-    return WitnessReport(
-        graph_name=graph_name,
-        inequalities=tuple(inequalities),
-        fully_inseparable=all(i.satisfied for i in inequalities),
-    )
+    return WitnessReport(graph_name, tuple(WitnessInequality(label, va + vb) for label, (va, vb) in zip(labels, pairs)))
 
 
 @cache
@@ -275,18 +313,10 @@ def full_inseparability_verdict(state: GaussianState, graph: GraphSpec, nullifie
     if state.n_modes != graph.n_nodes:
         raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
     if graph.name == "square4":
-        linear_state = apply_unitary(state, _square_to_linear_phases())
-        inner = full_inseparability_verdict(linear_state, linear4())
-        return WitnessReport(
-            graph_name="square4",
-            inequalities=inner.inequalities,
-            fully_inseparable=inner.fully_inseparable,
-            delegated_to="linear4",
-        )
-    if graph.name not in WITNESS_PAIRS:
+        nullifiers = nullifier_report(apply_unitary(state, _square_to_linear_phases()), linear4())
+    elif graph.name not in WITNESS_PAIRS:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-    variances = (nullifier_report(state, graph) if nullifiers is None else nullifiers).variances
-    pairs = [(variances[a - 1], variances[b - 1]) for a, b in WITNESS_PAIRS[graph.name]]
-    labels = [f"node{a}+node{b}" for a, b in WITNESS_PAIRS[graph.name]]
-    return witness_evaluate(pairs, labels=labels, graph_name=graph.name)
-
+    elif nullifiers is None:
+        nullifiers = nullifier_report(state, graph)
+    v = nullifiers.variances
+    return WitnessReport.for_graph(graph, [v[a - 1] + v[b - 1] for a, b in WITNESS_PAIRS[nullifiers.graph_name]])

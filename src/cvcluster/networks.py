@@ -148,15 +148,18 @@ class NetworkProgram:
     """Ordered factor sequence; the list is in matrix-product order.
 
     `elements[0]` is the leftmost factor of the product, so it acts on the
-    input last; `elements[-1]` acts first.
+    input last; `elements[-1]` acts first.  `n_modes` is an integer >= 1,
+    checked like `NetworkElement`'s modes.
     """
 
     n_modes: int
     elements: tuple[NetworkElement, ...] = ()
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.n_modes}")
+        n_modes = as_integer(self.n_modes)
+        if n_modes is None or n_modes < 1:
+            raise ValueError(f"n_modes: expected an integer >= 1, got {self.n_modes!r}")
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "elements", tuple(self.elements))
         for e in self.elements:
             if any(m > self.n_modes for m in e.modes):

@@ -21,10 +21,8 @@ import numpy as np
 
 from cvcluster.analysis import (
     GraphSpec,
-    NullifierEntry,
     NullifierReport,
     UnsupportedGraphError,
-    WitnessInequality,
     WitnessReport,
     full_inseparability_verdict,
     graph_by_name,
@@ -257,6 +255,11 @@ class ScenarioConfig:
     def n_modes(self) -> int:
         return len(self.squeezing_db)
 
+    @property
+    def squeezing_r(self) -> tuple[float, ...]:
+        """Input squeezing parameters r, one per mode, from the squeezing levels."""
+        return tuple(map(squeezing_db_to_r, self.squeezing_db))
+
 
 def read_config_file(path) -> dict:
     """Read a JSON config file into a dict; any failure is a ConfigError on `config`."""
@@ -277,6 +280,25 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(read_config_file(path))
 
 
+def _cluster_graph(cfg: ScenarioConfig) -> GraphSpec | None:
+    """The config's cluster graph: a built-in network's own, a netlist's `graph_edges`, or None."""
+    if cfg.network in NETWORK_UNITARIES:
+        return graph_by_name(cfg.network)
+    return None if cfg.graph_edges is None else _custom_graph(cfg.n_modes, frozenset(cfg.graph_edges))
+
+
+def _wants_witness(cfg: ScenarioConfig, graph: GraphSpec | None) -> bool:
+    """Whether a run evaluates the witness: `cfg.witness`, by default on for a built-in graph.
+
+    Asking for it on any other graph, or without one, is an UnsupportedGraphError.
+    """
+    built_in = graph is not None and graph.name in NAMED_GRAPH_EDGES
+    if cfg.witness and not built_in:
+        where = "without a cluster graph" if graph is None else f"for graph {graph.name!r}"
+        raise UnsupportedGraphError(f"no witness pairing is defined {where}")
+    return built_in if cfg.witness is None else cfg.witness
+
+
 def _resolve_network(cfg: ScenarioConfig) -> tuple[ComplexUnitary, GraphSpec | None]:
     """Turn the config's network field into a unitary and (maybe) a graph.
 
@@ -288,8 +310,7 @@ def _resolve_network(cfg: ScenarioConfig) -> tuple[ComplexUnitary, GraphSpec | N
     unitary = _load_netlist(cfg.network)
     if unitary.n_modes != cfg.n_modes:
         raise ConfigError("squeezing_db", f"netlist has {unitary.n_modes} modes, config has {cfg.n_modes} values")
-    graph = None if cfg.graph_edges is None else _custom_graph(cfg.n_modes, frozenset(cfg.graph_edges))
-    return unitary, graph
+    return unitary, _cluster_graph(cfg)
 
 
 @dataclass(frozen=True)
@@ -316,10 +337,19 @@ class DecompositionReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecompositionReport":
-        return cls(
-            checks=tuple(DecompositionCheck(**c) for c in data["checks"]),
-            square_relation_deviation=data["square_relation_deviation"],
-        )
+        """Read back a `to_dict` report; a malformed one is a ConfigError on `decompositions`."""
+        try:
+            report = cls(
+                checks=tuple(DecompositionCheck(**c) for c in data["checks"]),
+                square_relation_deviation=data["square_relation_deviation"],
+            )
+        except (TypeError, KeyError) as exc:
+            raise ConfigError("decompositions", f"expected a decomposition report, got {data!r}: {exc!r}") from None
+        values = [report.square_relation_deviation]
+        values += [v for c in report.checks for k, v in vars(c).items() if k != "network"]
+        if not all(is_real(v) for v in values):
+            raise ConfigError("decompositions", f"expected real deviations and phases, got {data!r}")
+        return report
 
     def to_text(self) -> str:
         lines = ["decomposition checks"]
@@ -372,6 +402,42 @@ def verify_decompositions() -> DecompositionReport:
     return DecompositionReport(checks=tuple(checks), square_relation_deviation=square_dev)
 
 
+def _read_section(data: dict, section: str, items: str, key: str, build):
+    """`build(values)`, with the `key` measurement of each item in `data[section][items]`.
+
+    Each value must be a positive finite number, and `build` must accept
+    their count; otherwise a ConfigError names the offending path.
+    """
+    body = data.get(section)
+    if not isinstance(body, dict) or not isinstance(body.get(items), list):
+        raise ConfigError(section, f"expected an object with a list of {items}, got {body!r}")
+    values = []
+    for i, item in enumerate(body[items]):
+        value = item.get(key) if isinstance(item, dict) else None
+        if not (is_real(value) and 0.0 < value < math.inf):
+            raise ConfigError(f"{section}.{items}[{i}].{key}", f"expected a positive finite number, got {value!r}")
+        values.append(float(value))
+    try:
+        return build(values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{items}", str(exc)) from None
+
+
+_ABSENT = object()
+
+
+def _first_difference(derived, written, path: str = "") -> str | None:
+    """The first path, keys in sorted order, at which `written` would serialize differently from `derived`."""
+    if isinstance(derived, dict) and isinstance(written, dict):
+        keys = sorted(derived.keys() | written.keys(), key=str)
+        children = [(f"{path}.{k}" if path else str(k), derived.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys]
+    elif isinstance(derived, list) and isinstance(written, list) and len(derived) == len(written):
+        children = [(f"{path}[{i}]", d, w) for i, (d, w) in enumerate(zip(derived, written))]
+    else:
+        return None if type(derived) is type(written) and repr(derived) == repr(written) else path  # -0.0 != 0.0
+    return next(filter(None, (_first_difference(d, w, sub) for sub, d, w in children)), None)
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     """Everything produced by one scenario run."""
@@ -381,11 +447,6 @@ class ScenarioReport:
     witness: WitnessReport | None
     decompositions: DecompositionReport | None = None
 
-    @property
-    def squeezing_r(self) -> tuple[float, ...]:
-        """Input squeezing parameters r, one per mode, from the config's levels."""
-        return tuple(map(squeezing_db_to_r, self.config.squeezing_db))
-
     def to_dict(self) -> dict:
         n, w = self.nullifiers, self.witness
         return {
@@ -393,13 +454,19 @@ class ScenarioReport:
             "inputs": {
                 "squeezing_db": list(self.config.squeezing_db),
                 "antisqueezing_db": list(self.config.antisqueezing_db),
-                "squeezing_r": list(self.squeezing_r),
+                "squeezing_r": list(self.config.squeezing_r),
             },
-            "nullifiers": None if n is None else {"graph": n.graph_name, "nodes": [dict(vars(e)) for e in n.entries]},
+            "nullifiers": None if n is None else {
+                "graph": n.graph_name,
+                "nodes": [{**vars(e), "level_db": e.level_db} for e in n.entries],
+            },
             "witness": None if w is None else {
                 "graph": w.graph_name,
                 "delegated_to": w.delegated_to,
-                "inequalities": [dict(vars(i)) for i in w.inequalities],
+                "inequalities": [
+                    {"label": i.label, "lhs": i.lhs, "bound": i.bound, "satisfied": i.satisfied}
+                    for i in w.inequalities
+                ],
                 "fully_inseparable": w.fully_inseparable,
             },
             "decompositions": None if self.decompositions is None else self.decompositions.to_dict(),
@@ -407,22 +474,38 @@ class ScenarioReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioReport":
-        """Read back a `to_dict` report; its `inputs` section is derived from the config and not read."""
-        n, w, d = data.get("nullifiers"), data.get("witness"), data.get("decompositions")
-        return cls(
-            config=ScenarioConfig.from_dict(data["config"]),
-            nullifiers=None if n is None else NullifierReport(
-                graph_name=n["graph"],
-                entries=tuple(NullifierEntry(**e) for e in n["nodes"]),
-            ),
-            witness=None if w is None else WitnessReport(
-                graph_name=w["graph"],
-                inequalities=tuple(WitnessInequality(**i) for i in w["inequalities"]),
-                fully_inseparable=w["fully_inseparable"],
-                delegated_to=w["delegated_to"],
-            ),
-            decompositions=None if d is None else DecompositionReport.from_dict(d),
-        )
+        """Rebuild a `to_dict` report from its config and measurements, and check the rest against them.
+
+        Only the config, each node's `variance`, each inequality's `lhs` and
+        the `decompositions` section are read.  Everything else is derived
+        from the config by the builders `run_scenario` uses: which sections
+        are present, the graph, references and analytic column, the dB
+        levels, the witness labels, `delegated_to`, the verdicts and
+        `inputs`.  A malformed report, a measurement that is not a positive
+        finite number, or a written value that differs from the derived one
+        raises `ConfigError` naming the first offending path, such as
+        `witness.inequalities[0].satisfied`.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError("report", f"expected an object, got {type(data).__name__}")
+        if "config" not in data:
+            raise ConfigError("config", "required field is missing")
+        cfg = ScenarioConfig.from_dict(data["config"])
+        graph = _cluster_graph(cfg)
+        nullifiers = witness = decompositions = None
+        if graph is not None:
+            nullifiers = _read_section(data, "nullifiers", "nodes", "variance",
+                                       lambda variances: NullifierReport.for_graph(graph, variances, cfg.squeezing_r))
+        if _wants_witness(cfg, graph):
+            witness = _read_section(data, "witness", "inequalities", "lhs",
+                                    functools.partial(WitnessReport.for_graph, graph))
+        if cfg.verify_decompositions:
+            decompositions = DecompositionReport.from_dict(data.get("decompositions"))
+        report = cls(cfg, nullifiers, witness, decompositions)
+        path = _first_difference(report.to_dict(), data)
+        if path is not None:
+            raise ConfigError(path, "does not match the report derived from the config and the measurements")
+        return report
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -488,16 +571,8 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
         for mode, sigma in jitters.items():
             state = phase_jitter_mc(state, mode, sigma, samples=samples, seed=seed + mode - 1)
 
-    nullifiers = None
-    if graph is not None:
-        nullifiers = nullifier_report(state, graph, squeezing_r=tuple(map(squeezing_db_to_r, cfg.squeezing_db)))
-
-    want_witness = cfg.witness if cfg.witness is not None else (graph is not None and graph.name in NAMED_GRAPH_EDGES)
-    witness = None
-    if want_witness:
-        if graph is None:
-            raise UnsupportedGraphError("no witness pairing is defined without a cluster graph")
-        witness = full_inseparability_verdict(state, graph, nullifiers)
+    nullifiers = None if graph is None else nullifier_report(state, graph, squeezing_r=cfg.squeezing_r)
+    witness = full_inseparability_verdict(state, graph, nullifiers) if _wants_witness(cfg, graph) else None
 
     decompositions = verify_decompositions() if cfg.verify_decompositions else None
     return ScenarioReport(

@@ -70,6 +70,21 @@ class TestGraphSpec:
         with pytest.raises(ValueError, match="range"):
             GraphSpec(3, frozenset({(1, 4)}))
 
+    @pytest.mark.parametrize("edge", [(1.5, 2), (True, 2), (1, "2"), (None, 2)])
+    def test_edge_labels_must_be_integers(self, edge):
+        with pytest.raises(ValueError, match="edges"):
+            GraphSpec(4, frozenset({edge}))
+
+    @pytest.mark.parametrize("n_nodes", [2.5, True, "4", 0])
+    def test_node_count_must_be_a_positive_integer(self, n_nodes):
+        with pytest.raises(ValueError, match="n_nodes"):
+            GraphSpec(n_nodes, frozenset())
+
+    def test_integral_labels_are_stored_as_ints(self):
+        graph = GraphSpec(np.int64(4), frozenset({(2.0, np.int64(1))}))
+        assert graph == GraphSpec(4, frozenset({(1, 2)}))
+        assert all(type(node) is int for edge in graph.edges for node in (graph.n_nodes, *edge))
+
     def test_named_graph_shape_enforced(self):
         with pytest.raises(ValueError, match="linear4"):
             GraphSpec(4, frozenset({(1, 2)}), "linear4")

@@ -8,11 +8,14 @@ regenerates them with
 
 and explains in CHANGES.md which outputs moved and why; it also rewrites
 `linear4.net`, the netlist of the linear-cluster factor program.  Netlist runs
-are pinned through a sweep, whose CSV carries no file path.
+are pinned through a sweep, whose CSV carries no file path.  Each JSON
+`simulate` file must also read back through `ScenarioReport.from_dict` to the
+same bytes.
 """
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import pytest
 
 from cvcluster.cli import EXIT_OK, main
 from cvcluster.networks import emit_netlist, linear_program
+from cvcluster.scenarios import ScenarioReport
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -70,6 +74,9 @@ CASES = {
 }
 
 
+JSON_REPORTS = sorted(name for name, argv in CASES.items() if argv[0] == "simulate" and name.endswith(".json"))
+
+
 def cli_stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -82,6 +89,12 @@ def cli_stdout(argv) -> str:
 def test_cli_output_matches_golden_file(name):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert cli_stdout(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", JSON_REPORTS)
+def test_json_report_reads_back_byte_identically(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert ScenarioReport.from_dict(json.loads(text)).to_json() == text
 
 
 if __name__ == "__main__":

@@ -173,6 +173,15 @@ class TestPrograms:
         with pytest.raises(ValueError, match="exceeds"):
             NetworkProgram(2, (fourier(3),))
 
+    @pytest.mark.parametrize("n_modes", [2.5, True, "4", 0])
+    def test_mode_count_must_be_a_positive_integer(self, n_modes):
+        with pytest.raises(ValueError, match="n_modes"):
+            NetworkProgram(n_modes)
+
+    def test_integral_mode_count_is_stored_as_int(self):
+        assert type(NetworkProgram(np.int64(3)).n_modes) is int
+        assert NetworkProgram(3.0) == NetworkProgram(3)
+
 
 class TestConstants:
     def test_linear_entries(self):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +346,136 @@ class TestSweep:
         cfg = ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0)
         with pytest.raises(ConfigError, match="graph_edges"):
             run_sweep(cfg, "loss", 1.0, 0.5, 3)
+
+
+MEASURED_GAP = str(Path(__file__).resolve().parent.parent / "configs" / "measured_gap.json")
+DROP = object()  # a tamper that deletes the key
+
+
+def report_dict(base: str) -> dict:
+    """The JSON report of one of three witnessed configs, as `json.loads` gives it."""
+    if base == "measured_gap":
+        cfg = load_config(MEASURED_GAP)
+    elif base == "vacuum":
+        cfg = ScenarioConfig.create("linear4")
+    else:  # a delegated verdict, with the decomposition section attached
+        cfg = ScenarioConfig.create("square4", squeezing_db=[-5.5, -6.3, -5.8, -6.0], antisqueezing_db=11.0,
+                                    loss=0.9, jitter=0.03, verify_decompositions=True)
+    return json.loads(run_scenario(cfg).to_json())
+
+
+def tampered(data: dict, keys: tuple, value) -> dict:
+    """`data` with the value at `keys` replaced by `value`, or deleted for DROP."""
+    *parents, last = keys
+    target = data
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return data
+
+
+class TestReportFromDict:
+    # (base report, keys of the tampered value, written value, path the error names)
+    TAMPERS = {
+        "level_db": ("measured_gap", ("nullifiers", "nodes", 0, "level_db"), 3.0, "nullifiers.nodes[0].level_db"),
+        "lhs without its verdicts": ("measured_gap", ("witness", "inequalities", 0, "lhs"), 1.5,
+                                     "witness.fully_inseparable"),
+        "reference": ("measured_gap", ("nullifiers", "nodes", 1, "reference"), 0.5, "nullifiers.nodes[1].reference"),
+        "analytic_variance": ("measured_gap", ("nullifiers", "nodes", 2, "analytic_variance"), None,
+                              "nullifiers.nodes[2].analytic_variance"),
+        "node": ("measured_gap", ("nullifiers", "nodes", 0, "node"), 2, "nullifiers.nodes[0].node"),
+        "nullifier graph": ("measured_gap", ("nullifiers", "graph"), "tshape4", "nullifiers.graph"),
+        "witness graph": ("square4", ("witness", "graph"), "linear4", "witness.graph"),
+        "bound": ("measured_gap", ("witness", "inequalities", 1, "bound"), 2.0, "witness.inequalities[1].bound"),
+        "bound as an integer": ("measured_gap", ("witness", "inequalities", 1, "bound"), 1,
+                                "witness.inequalities[1].bound"),
+        "satisfied": ("measured_gap", ("witness", "inequalities", 2, "satisfied"), False,
+                      "witness.inequalities[2].satisfied"),
+        "satisfied as an integer": ("measured_gap", ("witness", "inequalities", 2, "satisfied"), 1,
+                                    "witness.inequalities[2].satisfied"),
+        "fully_inseparable": ("measured_gap", ("witness", "fully_inseparable"), False, "witness.fully_inseparable"),
+        "delegated_to added": ("measured_gap", ("witness", "delegated_to"), "linear4", "witness.delegated_to"),
+        "delegated_to dropped": ("square4", ("witness", "delegated_to"), None, "witness.delegated_to"),
+        "label": ("measured_gap", ("witness", "inequalities", 0, "label"), "node2+node1",
+                  "witness.inequalities[0].label"),
+        "squeezing_r": ("measured_gap", ("inputs", "squeezing_r", 0), 0.5, "inputs.squeezing_r[0]"),
+        "inputs squeezing_db": ("square4", ("inputs", "squeezing_db", 3), -6.3, "inputs.squeezing_db[3]"),
+        "inputs signed zero": ("vacuum", ("inputs", "antisqueezing_db", 1), -0.0, "inputs.antisqueezing_db[1]"),
+        "inputs dropped": ("measured_gap", ("inputs",), DROP, "inputs"),
+        "witness dropped": ("measured_gap", ("witness",), DROP, "witness"),
+        "witness null": ("square4", ("witness",), None, "witness"),
+        "decompositions dropped": ("square4", ("decompositions",), None, "decompositions"),
+        "decompositions added": ("measured_gap", ("decompositions",), verify_decompositions().to_dict(),
+                                 "decompositions"),
+        "unknown section": ("measured_gap", ("trace",), {}, "trace"),
+        "unknown key": ("measured_gap", ("witness", "margin"), 0.1, "witness.margin"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_derived_value_that_disagrees_is_rejected(self, name):
+        base, keys, value, path = self.TAMPERS[name]
+        with pytest.raises(ConfigError) as info:
+            ScenarioReport.from_dict(tampered(report_dict(base), keys, value))
+        assert info.value.field == path
+
+    def test_edited_verdict_inputs_are_rejected(self):
+        data = report_dict("measured_gap")
+        data["witness"]["inequalities"][0]["lhs"] = 1.5
+        data["nullifiers"]["nodes"][0]["level_db"] = 3.0
+        with pytest.raises(ConfigError, match=r"^nullifiers\.nodes\[0\]\.level_db: "):
+            ScenarioReport.from_dict(data)
+
+    # (keys of the malformed value, written value, path the error names), on the square4 report
+    MALFORMED = {
+        "not an object": ((), [], "report"),
+        "config missing": (("config",), DROP, "config"),
+        "config not an object": (("config",), "linear4", "config"),
+        "config field invalid": (("config", "squeezing_db", 0), 3.0, "squeezing_db[0]"),
+        "nullifiers null": (("nullifiers",), None, "nullifiers"),
+        "nodes not a list": (("nullifiers", "nodes"), {}, "nullifiers"),
+        "node not an object": (("nullifiers", "nodes", 1), 0.2, "nullifiers.nodes[1].variance"),
+        "variance missing": (("nullifiers", "nodes", 1, "variance"), DROP, "nullifiers.nodes[1].variance"),
+        "variance a string": (("nullifiers", "nodes", 1, "variance"), "x", "nullifiers.nodes[1].variance"),
+        "variance zero": (("nullifiers", "nodes", 1, "variance"), 0.0, "nullifiers.nodes[1].variance"),
+        "variance negative": (("nullifiers", "nodes", 1, "variance"), -0.2, "nullifiers.nodes[1].variance"),
+        "variance infinite": (("nullifiers", "nodes", 1, "variance"), math.inf, "nullifiers.nodes[1].variance"),
+        "variance NaN": (("nullifiers", "nodes", 1, "variance"), math.nan, "nullifiers.nodes[1].variance"),
+        "variance a boolean": (("nullifiers", "nodes", 1, "variance"), True, "nullifiers.nodes[1].variance"),
+        "node dropped": (("nullifiers", "nodes", 3), DROP, "nullifiers.nodes"),
+        "lhs null": (("witness", "inequalities", 2, "lhs"), None, "witness.inequalities[2].lhs"),
+        "inequality dropped": (("witness", "inequalities", 2), DROP, "witness.inequalities"),
+        "check field missing": (("decompositions", "checks", 0, "network"), DROP, "decompositions"),
+        "check value a string": (("decompositions", "checks", 0, "max_deviation"), "x", "decompositions"),
+        "deviation missing": (("decompositions", "square_relation_deviation"), DROP, "decompositions"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_report_is_a_config_error_naming_the_path(self, name):
+        keys, value, path = self.MALFORMED[name]
+        data = tampered(report_dict("square4"), keys, value) if keys else value
+        with pytest.raises(ConfigError) as info:
+            ScenarioReport.from_dict(data)
+        assert info.value.field == path
+
+    @pytest.mark.parametrize("kwargs", [
+        {"graph_edges": LINEAR_EDGES},
+        {"graph_edges": LINEAR_EDGES, "witness": False, "verify_decompositions": True},
+        {},
+    ], ids=["graph", "graph-no-witness", "no-graph"])
+    def test_netlist_report_round_trips_without_its_file(self, linear_netlist, kwargs):
+        report = run_scenario(ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=9.0,
+                                                    loss=[0.9, 1, 1, 0.8], **kwargs))
+        Path(linear_netlist).unlink()
+        assert ScenarioReport.from_dict(json.loads(report.to_json())) == report
+
+    def test_witness_on_a_graph_without_pairing_is_unsupported(self, linear_netlist):
+        report = run_scenario(ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, graph_edges=LINEAR_EDGES))
+        data = tampered(json.loads(report.to_json()), ("config", "witness"), True)
+        with pytest.raises(UnsupportedGraphError, match="custom"):
+            ScenarioReport.from_dict(data)
 
 
 class TestVerifyDecompositions:
