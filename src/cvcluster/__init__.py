@@ -56,7 +56,6 @@ from cvcluster.analysis import (
     nullifier_report,
     square4,
     tshape4,
-    witness_evaluate,
 )
 from cvcluster.scenarios import (
     ConfigError,
@@ -110,7 +109,6 @@ __all__ = [
     "vacuum",
     "variance_to_db",
     "verify_decompositions",
-    "witness_evaluate",
 ]
 
 __version__ = "0.1.0"

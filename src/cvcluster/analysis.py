@@ -21,10 +21,11 @@ from cvcluster.gaussian import (
     GaussianState,
     VACUUM_VARIANCE,
     apply_unitary,
+    as_integer,
     combination_variance,
     variance_to_db,
 )
-from cvcluster.networks import as_integer, linear_to_square_phases
+from cvcluster.networks import linear_to_square_phases
 
 
 class UnsupportedGraphError(ValueError):
@@ -274,25 +275,6 @@ class WitnessReport:
     @property
     def lhs_values(self) -> tuple[float, ...]:
         return tuple(i.lhs for i in self.inequalities)
-
-
-def witness_evaluate(pairs, labels=None, graph_name: str = "custom") -> WitnessReport:
-    """Evaluate inequalities sum(v_a + v_b) < 1 from paired nullifier variances.
-
-    Args:
-        pairs: iterable of (variance, variance) tuples, all entries positive.
-        labels: optional inequality labels, one per pair.
-        graph_name: name recorded in the report.
-    """
-    pairs = [tuple(map(float, p)) for p in pairs]
-    if labels is None:
-        labels = [f"pair{i}" for i in range(1, len(pairs) + 1)]
-    if len(labels) != len(pairs):
-        raise ValueError(f"{len(labels)} labels for {len(pairs)} pairs")
-    for label, (va, vb) in zip(labels, pairs):
-        if va <= 0.0 or vb <= 0.0:
-            raise ValueError(f"variances must be positive, got ({va}, {vb}) in {label}")
-    return WitnessReport(graph_name, tuple(WitnessInequality(label, va + vb) for label, (va, vb) in zip(labels, pairs)))
 
 
 @cache

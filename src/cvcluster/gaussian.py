@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,40 @@ LN10 = math.log(10.0)
 # for the sums the channels and analysis form from it, and the squeezed
 # variance stays a normal (not subnormal) double.
 LEVEL_LIMIT_DB = 3000.0
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool: int, float, a numpy scalar, a Fraction."""
+    # exact float and int first: the common case, and cheaper than the ABC check
+    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def as_integer(value) -> int | None:
+    """`value` as an int if it is a real number equal to one (numpy ints and 2.0 pass), else None."""
+    if is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    return None
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int by :func:`as_integer`; a bool, a string or a fraction is a ValueError naming `name`."""
+    if type(value) is int:
+        return value
+    integer = as_integer(value)
+    if integer is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return integer
+
+
+def _checked_mode(mode, n: int) -> int:
+    """`mode` as a 1-based mode index of an n-mode state; anything else is a ValueError naming it.
+
+    Channels call it only off their inline fast path (an int in 1..n).
+    """
+    mode = _integer("mode", mode)
+    if not 1 <= mode <= n:
+        raise ValueError(f"mode index {mode} out of range 1..{n}")
+    return mode
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -121,11 +156,12 @@ class GaussianState:
         cov: the derived, read-only covariance F F^T.
 
     Channels construct states with ``cov_factor=``; such a factor is
-    physical by construction and is taken as is.  ``GaussianState(cov)`` is
-    the one validated entry point: the covariance must be finite, symmetric
-    and satisfy the uncertainty relation cov + (i/4) Omega >= 0, and is
-    factored once.  The vacuum state saturates the relation with
-    cov = (1/4) I.
+    physical by construction and is taken as is: a float64 array is taken
+    over and made read-only, not copied, and anything else is converted to
+    one.  ``GaussianState(cov)`` is the one validated entry point: the
+    covariance must be finite, symmetric and satisfy the uncertainty
+    relation cov + (i/4) Omega >= 0, and is factored once.  The vacuum
+    state saturates the relation with cov = (1/4) I.
     """
 
     cov_factor: np.ndarray
@@ -133,7 +169,7 @@ class GaussianState:
     def __init__(self, cov=None, *, cov_factor=None):
         if (cov is None) == (cov_factor is None):
             raise ValueError("a state needs exactly one of cov and cov_factor")
-        factor = _factor_covariance(cov) if cov_factor is None else np.array(cov_factor, dtype=float)
+        factor = _factor_covariance(cov) if cov_factor is None else np.asarray(cov_factor, dtype=float)
         object.__setattr__(self, "cov_factor", _read_only(factor))
 
     @property
@@ -184,10 +220,11 @@ def vacuum(n: int) -> GaussianState:
     """n-mode vacuum: covariance (1/4) I.
 
     Args:
-        n: number of modes, >= 1.
+        n: number of modes, an integer >= 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    n = _integer("n", n)
+    if n < 1:
+        raise ValueError(f"mode count must be >= 1, got {n}")
     return impure_squeezed_inputs([0.0] * n, [0.0] * n)
 
 
@@ -259,12 +296,6 @@ def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianStat
     return GaussianState(cov_factor=unitary.symplectic @ state.cov_factor)
 
 
-def _mode_indices(state: GaussianState, mode: int) -> tuple[int, int]:
-    if not 1 <= mode <= state.n_modes:
-        raise ValueError(f"mode index {mode} out of range 1..{state.n_modes}")
-    return mode - 1, state.n_modes + mode - 1
-
-
 def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
     """Scale each mode's factor rows by its gain and append its 2 x 2 noise factor (x and p rows).
 
@@ -273,11 +304,14 @@ def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
     """
     if not modes:
         return state
-    m = state.cov_factor.shape[1]
-    scale = [1.0] * (2 * state.n_modes)
-    factor = np.zeros((2 * state.n_modes, m + 2 * len(modes)))
+    rows, m = state.cov_factor.shape
+    n = rows // 2
+    scale = [1.0] * rows
+    factor = np.zeros((rows, m + 2 * len(modes)))
     for col, mode, gain, (noise_x, noise_p) in zip(range(m, factor.shape[1], 2), modes, gains, noises):
-        ix, ip = _mode_indices(state, mode)
+        if type(mode) is not int or not 1 <= mode <= n:
+            mode = _checked_mode(mode, n)
+        ix, ip = mode - 1, n + mode - 1
         scale[ix] = scale[ip] = gain
         factor[ix, col:col + 2] = noise_x
         factor[ip, col:col + 2] = noise_p
@@ -318,7 +352,10 @@ def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float, vcs
     vcs = E[dc ds]; G = F_m F_m^T is the mode's covariance block:
     N = vcc G + vss J G J^T + vcs (J G + G J^T).
     """
-    rows = state.cov_factor[_mode_indices(state, mode)[0]::state.n_modes]  # the mode's x and p rows
+    n = state.cov_factor.shape[0] // 2
+    if type(mode) is not int or not 1 <= mode <= n:
+        mode = _checked_mode(mode, n)
+    rows = state.cov_factor[mode - 1::n]  # the mode's x and p rows
     (gxx, gxp), (_, gpp) = (rows @ rows.T).tolist()
     nxx = vcc * gxx + vss * gpp - 2.0 * vcs * gxp
     npp = vcc * gpp + vss * gxx + 2.0 * vcs * gxp
@@ -367,10 +404,14 @@ def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int 
     which only sums are kept, so memory does not grow with `samples`; cos - 1
     is taken as -2 sin^2(theta/2) to keep its digits at small sigma.
     """
+    mode = _checked_mode(mode, state.n_modes)
     if not (sigma >= 0.0 and math.isfinite(sigma)):
         raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if sigma == 0.0:
         return state
     rng = np.random.default_rng(seed)

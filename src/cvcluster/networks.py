@@ -16,13 +16,12 @@ Mode indices are 1-based everywhere in this module.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
 
-from cvcluster.gaussian import ComplexUnitary
+from cvcluster.gaussian import ComplexUnitary, as_integer, is_real
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT5 = math.sqrt(5.0)
@@ -35,19 +34,6 @@ MAX_NETLIST_MODES = 64
 
 _ONE_MODE_KINDS = ("F", "Finv")
 _TWO_MODE_KINDS = ("BS+", "BS-", "SWAP")
-
-
-def is_real(value) -> bool:
-    """A real number that is not a bool: int, float, a numpy scalar, a Fraction."""
-    # exact float and int first: the common case, and cheaper than the ABC check
-    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-
-
-def as_integer(value) -> int | None:
-    """`value` as an int if it is a real number equal to one (numpy ints and 2.0 pass), else None."""
-    if is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        return int(value)
-    return None
 
 
 @dataclass(frozen=True)

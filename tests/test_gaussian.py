@@ -53,10 +53,91 @@ class TestVacuum:
         # vacuum sits exactly on the uncertainty boundary
         assert abs(min_uncertainty_eig(vacuum(2))) < TOL
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5])
-    def test_bad_mode_count_rejected(self, n):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("n,message", [
+        (0, "^mode count must be >= 1"), (-1, "^mode count must be >= 1"),
+        (2.5, "^n must be an integer"), (True, "^n must be an integer"), ("2", "^n must be an integer"),
+    ])
+    def test_bad_mode_count_rejected(self, n, message):
+        with pytest.raises(ValueError, match=message):
             vacuum(n)
+
+    @pytest.mark.parametrize("n", [2, 2.0, np.int64(2)])
+    def test_integral_mode_count_passes(self, n):
+        assert np.array_equal(vacuum(n).cov, 0.25 * np.eye(4))
+
+
+class TestIntegerArguments:
+    """Channel modes, sample counts and seeds follow `as_integer`: 2, 2.0 and numpy ints pass."""
+
+    @pytest.mark.parametrize("mode", [2.0, np.int64(2)])
+    def test_integral_mode_passes(self, mode):
+        state = cluster_state("linear4", [0.6] * 4)
+        assert np.array_equal(lossy_channel(state, mode, 0.5).cov_factor, lossy_channel(state, 2, 0.5).cov_factor)
+        assert np.array_equal(phase_jitter(state, mode, 0.1).cov_factor, phase_jitter(state, 2, 0.1).cov_factor)
+        mc = phase_jitter_mc(state, mode, 0.1, samples=100, seed=4)
+        assert np.array_equal(mc.cov_factor, phase_jitter_mc(state, 2, 0.1, samples=100, seed=4).cov_factor)
+
+    @pytest.mark.parametrize("mode", [True, 1.5, "1"])
+    @pytest.mark.parametrize("channel", [
+        lambda s, m: lossy_channel(s, m, 0.5),
+        lambda s, m: phase_jitter(s, m, 0.1),
+        lambda s, m: phase_jitter_mc(s, m, 0.1, samples=10),
+    ], ids=["lossy_channel", "phase_jitter", "phase_jitter_mc"])
+    def test_non_integer_mode_rejected(self, channel, mode):
+        with pytest.raises(ValueError, match="^mode must be an integer"):
+            channel(vacuum(2), mode)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"samples": 2.5}, "^samples must be an integer"),
+        ({"samples": True}, "^samples must be an integer"),
+        ({"seed": 1.5}, "^seed must be an integer"),
+        ({"seed": "1"}, "^seed must be an integer"),
+        ({"seed": -1}, "^seed must be >= 0"),
+    ])
+    def test_monte_carlo_counts_must_be_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            phase_jitter_mc(squeezed_vacuum(0.8), 1, 0.1, **dict({"samples": 10}, **kwargs))
+
+    def test_integral_sample_count_and_seed_pass(self):
+        state = squeezed_vacuum(0.8)
+        exact = phase_jitter_mc(state, 1, 0.1, samples=100, seed=3)
+        assert np.array_equal(phase_jitter_mc(state, 1, 0.1, samples=100.0, seed=np.int64(3)).cov_factor,
+                              exact.cov_factor)
+
+
+class TestFactorAdoption:
+    """A state takes over the float64 factor array its channel built instead of copying it."""
+
+    @pytest.mark.parametrize("channel", [
+        lambda s: impure_squeezed_inputs([-6.0] * 4, [9.0] * 4),
+        lambda s: tensor([s, vacuum(1)]),
+        lambda s: apply_unitary(s, linear_cluster_unitary()),
+        lambda s: lossy_channel(s, 2, 0.9),
+        lambda s: phase_jitter(s, 3, 0.05),
+        lambda s: phase_jitter_mc(s, 4, 0.05, samples=100),
+    ], ids=["impure_squeezed_inputs", "tensor", "apply_unitary", "lossy_channel", "phase_jitter", "phase_jitter_mc"])
+    def test_channel_state_holds_the_array_it_built(self, monkeypatch, channel):
+        state = cluster_state("linear4", [0.6] * 4)
+        built = []
+        init = GaussianState.__init__
+
+        def recording(self, cov=None, *, cov_factor=None):
+            built.append(cov_factor)
+            init(self, cov, cov_factor=cov_factor)
+
+        monkeypatch.setattr(GaussianState, "__init__", recording)
+        out = channel(state)
+        assert np.shares_memory(out.cov_factor, built[-1])
+        assert not built[-1].flags.writeable
+
+    @pytest.mark.parametrize("factor", [[[1, 0], [0, 2]], np.array([[1, 0], [0, 2]])])
+    def test_list_or_int_array_is_converted_to_float(self, factor):
+        state = GaussianState(cov_factor=factor)
+        assert state.cov_factor.dtype == np.float64
+        assert np.array_equal(state.cov, np.diag([1.0, 4.0]))
+        assert not state.cov_factor.flags.writeable
+        if isinstance(factor, np.ndarray):
+            assert factor.flags.writeable and not np.shares_memory(state.cov_factor, factor)
 
 
 class TestSqueezedVacuum:

@@ -66,6 +66,17 @@ CASES = {
         "sweep", "--network", "tshape4", *IMPERFECT, "--loss-placement", "pre", "--jitter=0.02,0,0.05,0.01",
         "--axis", "loss", "--from", "1", "--to", "0.5", "--steps", "21",
     ],
+    "square4_antisqueezing_sweep.csv": [
+        "sweep", "--network", "square4", "--squeezing-db=-5.5,-6.3,-5.8,-6.0",
+        "--loss=0.95,1,0.9,0.85", "--jitter=0.02,0,0.05,0.01",
+        "--axis", "antisqueezing_db", "--from", "6.3", "--to", "16.3", "--steps", "21",
+    ],
+    "tshape4_mixed_purity_squeezing_sweep.csv": [
+        # modes 1 and 3 pure (mirrored), 2 and 4 impure: the sweep keeps the pure ones mirrored
+        "sweep", "--network", "tshape4", "--squeezing-db=-5.5,-6.3,-5.8,-6.0",
+        "--antisqueezing-db=5.5,11.9,5.8,11.2", "--loss", "0.93", "--jitter", "0.04",
+        "--axis", "squeezing_db", "--from", "-11", "--to", "0", "--steps", "23",
+    ],
     "linear4_netlist_sweep.csv": [
         "sweep", "--network", str(LINEAR_NETLIST), "--graph-edges", "1-2,2-3,3-4", *IMPERFECT,
         "--loss=0.95,1,0.9,0.85", "--jitter=0.02,0,0.05,0.01",

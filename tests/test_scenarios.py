@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -14,9 +15,11 @@ from cvcluster.analysis import UnsupportedGraphError
 from cvcluster.cli import main
 from cvcluster.networks import emit_netlist, linear_program, tshape_program
 from cvcluster.scenarios import (
+    SWEEP_AXES,
     ConfigError,
     ScenarioConfig,
     ScenarioReport,
+    SweepResult,
     load_config,
     run_scenario,
     run_sweep,
@@ -346,6 +349,89 @@ class TestSweep:
         cfg = ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0)
         with pytest.raises(ConfigError, match="graph_edges"):
             run_sweep(cfg, "loss", 1.0, 0.5, 3)
+
+    @pytest.mark.parametrize("base,axis,start,message", [
+        ({}, "loss", 1.25, "loss[0]: transmissivity must lie in [0, 1], got 1.25"),
+        ({"squeezing_db": [-6.0, -12.0, -6.0, -6.0]}, "antisqueezing_db", 9.0,
+         "antisqueezing_db[1]: unphysical: 9.0 dB is below -squeezing_db = 12.0 dB"),
+        ({}, "jitter", -0.5, "jitter[0]: sigma must be >= 0, got -0.5"),
+        ({"squeezing_db": -6.0}, "squeezing_db", -3001.0, "squeezing_db[0]: must lie in [-3000.0, 0] dB, got -3001.0"),
+    ])
+    def test_point_out_of_range_names_the_field(self, base, axis, start, message):
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(ScenarioConfig.create("linear4", **base), axis, start, 0.5, 2)
+        assert str(exc.value) == message
+
+
+# Per axis, sweep bounds inside the accepted range (for every base config
+# `sweep_case` draws, bar a squeezing sweep past an impure mode's
+# antisqueezing) and bounds outside it.
+SWEEP_BOUNDS = {
+    "squeezing_db": (st.floats(-2.0, 0.0), st.floats(-3100.0, -3000.5) | st.floats(0.5, 5.0)),
+    "antisqueezing_db": (st.floats(22.0, 3000.0), st.floats(-5.0, -0.5) | st.floats(3000.5, 3100.0)),
+    "loss": (st.floats(0.0, 1.0), st.floats(-1.0, -1e-9) | st.floats(1.0 + 1e-9, 2.0)),
+    "jitter": (st.floats(0.0, 1.0), st.floats(-1.0, -1e-9)),
+}
+
+
+@st.composite
+def sweep_case(draw, netlist):
+    """An accepted base config's fields, and a sweep axis, bounds and step count."""
+    network = draw(st.sampled_from(["linear4", "square4", "tshape4", netlist]))
+    squeezing = draw(st.lists(st.floats(-12.0, 0.0), min_size=4, max_size=4))
+    # a mode is pure (mirrored) or keeps an excess of antisqueezing
+    excess = draw(st.lists(st.none() | st.floats(0.0, 10.0), min_size=4, max_size=4))
+    fields = {
+        "network": network,
+        "squeezing_db": squeezing,
+        "antisqueezing_db": [0.0 - s if e is None else e - s for s, e in zip(squeezing, excess)],
+        "loss": draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)),
+        "loss_placement": draw(st.sampled_from(["pre", "post"])),
+        "jitter": draw(st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4)),
+        "jitter_mc": draw(st.none() | st.tuples(st.integers(1, 50), st.integers(0, 9))),
+        "output_format": draw(st.sampled_from(["text", "json"])),
+    }
+    if network == netlist:
+        fields["graph_edges"] = LINEAR_EDGES
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    inside, outside = SWEEP_BOUNDS[axis]
+    # one grid in three starts outside the range, one in three ends outside it
+    leaves = draw(st.sampled_from([None, "start", "stop"]))
+    start = draw(outside if leaves == "start" else inside)
+    stop = draw(outside if leaves == "stop" else inside)
+    return fields, axis, start, stop, draw(st.integers(1, 4))
+
+
+def point_fields(cfg: ScenarioConfig, fields: dict, axis: str, value: float) -> dict:
+    """The constructor fields of a sweep point: `axis` set on every mode; pure modes stay mirrored."""
+    point = dict(fields, **{axis: [value] * cfg.n_modes})
+    if axis == "squeezing_db":
+        point["antisqueezing_db"] = [0.0 - value if a == -s else a for s, a in zip(cfg.squeezing_db, cfg.antisqueezing_db)]
+    return point
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_sweep_points_match_the_constructor(data, linear_netlist):
+    """A sweep point gives the report, and a bad one the error, of the full constructor on its fields."""
+    fields, axis, start, stop, steps = data.draw(sweep_case(linear_netlist))
+    cfg = ScenarioConfig(**fields)
+    values = tuple(float(v) for v in np.linspace(start, stop, steps))
+    try:
+        result = run_sweep(cfg, axis, start, stop, steps)
+    except ConfigError as exc:
+        for value in values:
+            try:
+                ScenarioConfig(**point_fields(cfg, fields, axis, value))
+            except ConfigError as expected:
+                assert (exc.field, str(exc)) == (expected.field, str(expected))
+                return
+        raise AssertionError(f"the constructor accepts every point that the sweep rejected: {exc}")
+    expected = tuple(run_scenario(ScenarioConfig(**point_fields(cfg, fields, axis, v))) for v in values)
+    assert result.reports == expected
+    assert [r.to_json() for r in result.reports] == [r.to_json() for r in expected]  # -0.0 too
+    assert result.to_csv() == SweepResult(axis, values, expected).to_csv()
 
 
 MEASURED_GAP = str(Path(__file__).resolve().parent.parent / "configs" / "measured_gap.json")
