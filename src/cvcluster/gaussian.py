@@ -58,8 +58,6 @@ def as_integer(value) -> int | None:
 
 def _integer(name: str, value) -> int:
     """`value` as an int by :func:`as_integer`; a bool, a string or a fraction is a ValueError naming `name`."""
-    if type(value) is int:
-        return value
     integer = as_integer(value)
     if integer is None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -67,10 +65,9 @@ def _integer(name: str, value) -> int:
 
 
 def _checked_mode(mode, n: int) -> int:
-    """`mode` as a 1-based mode index of an n-mode state; anything else is a ValueError naming it.
-
-    Channels call it only off their inline fast path (an int in 1..n).
-    """
+    """`mode` as a 1-based mode index of an n-mode state; anything else is a ValueError naming it."""
+    if type(mode) is int and 1 <= mode <= n:
+        return mode
     mode = _integer("mode", mode)
     if not 1 <= mode <= n:
         raise ValueError(f"mode index {mode} out of range 1..{n}")
@@ -155,13 +152,13 @@ class GaussianState:
             with rows ordered (x_1 .. x_n, p_1 .. p_n).
         cov: the derived, read-only covariance F F^T.
 
-    Channels construct states with ``cov_factor=``; such a factor is
-    physical by construction and is taken as is: a float64 array is taken
+    Channels construct states with ``cov_factor=``; such a factor is physical
+    by construction, so only its shape is checked: a float64 array is taken
     over and made read-only, not copied, and anything else is converted to
-    one.  ``GaussianState(cov)`` is the one validated entry point: the
+    one.  ``GaussianState(cov)`` is the physically validated entry point: the
     covariance must be finite, symmetric and satisfy the uncertainty
-    relation cov + (i/4) Omega >= 0, and is factored once.  The vacuum
-    state saturates the relation with cov = (1/4) I.
+    relation cov + (i/4) Omega >= 0, and is factored once.  The vacuum state
+    saturates the relation with cov = (1/4) I.
     """
 
     cov_factor: np.ndarray
@@ -170,6 +167,8 @@ class GaussianState:
         if (cov is None) == (cov_factor is None):
             raise ValueError("a state needs exactly one of cov and cov_factor")
         factor = _factor_covariance(cov) if cov_factor is None else np.asarray(cov_factor, dtype=float)
+        if factor.ndim != 2 or len(factor) % 2 or not len(factor):
+            raise ValueError(f"cov_factor must be 2-D with an even, nonzero row count, got shape {factor.shape}")
         object.__setattr__(self, "cov_factor", _read_only(factor))
 
     @property
@@ -179,7 +178,7 @@ class GaussianState:
 
     @property
     def n_modes(self) -> int:
-        return self.cov_factor.shape[0] // 2
+        return len(self.cov_factor) // 2
 
     def __repr__(self):
         return f"GaussianState(n_modes={self.n_modes}, cov={self.cov!r})"
@@ -301,6 +300,7 @@ def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
 
     A channel touches only its mode's rows, from which its noise is computed, and its own new
     columns; so for distinct modes one pass equals the chained one-mode channels, bit for bit.
+    `modes` are checked 1-based indices.
     """
     if not modes:
         return state
@@ -309,8 +309,6 @@ def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
     scale = [1.0] * rows
     factor = np.zeros((rows, m + 2 * len(modes)))
     for col, mode, gain, (noise_x, noise_p) in zip(range(m, factor.shape[1], 2), modes, gains, noises):
-        if type(mode) is not int or not 1 <= mode <= n:
-            mode = _checked_mode(mode, n)
         ix, ip = mode - 1, n + mode - 1
         scale[ix] = scale[ip] = gain
         factor[ix, col:col + 2] = noise_x
@@ -321,11 +319,13 @@ def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
 
 def lossy_channels(state: GaussianState, etas: dict[int, float]) -> GaussianState:
     """:func:`lossy_channel` on every mode of `etas` (1-based mode -> eta), in one pass."""
+    n = state.n_modes
+    modes = [_checked_mode(mode, n) for mode in etas]
     for eta in etas.values():
         if not (0.0 <= eta <= 1.0):
             raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     vacua = [math.sqrt((1.0 - eta) * VACUUM_VARIANCE) for eta in etas.values()]
-    return _mode_channels(state, etas, [math.sqrt(eta) for eta in etas.values()], [((v, 0.0), (0.0, v)) for v in vacua])
+    return _mode_channels(state, modes, [math.sqrt(eta) for eta in etas.values()], [((v, 0.0), (0.0, v)) for v in vacua])
 
 
 def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -353,8 +353,6 @@ def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float, vcs
     N = vcc G + vss J G J^T + vcs (J G + G J^T).
     """
     n = state.cov_factor.shape[0] // 2
-    if type(mode) is not int or not 1 <= mode <= n:
-        mode = _checked_mode(mode, n)
     rows = state.cov_factor[mode - 1::n]  # the mode's x and p rows
     (gxx, gxp), (_, gpp) = (rows @ rows.T).tolist()
     nxx = vcc * gxx + vss * gpp - 2.0 * vcs * gxp
@@ -369,10 +367,12 @@ def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float, vcs
 
 def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianState:
     """:func:`phase_jitter` on every mode of `sigmas` (1-based mode -> sigma), in one pass."""
+    n = state.n_modes
+    modes = [_checked_mode(mode, n) for mode in sigmas]
     for sigma in sigmas.values():
         if not (sigma >= 0.0 and math.isfinite(sigma)):
             raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
-    s2 = {mode: sigma * sigma for mode, sigma in sigmas.items() if sigma > 0.0}
+    s2 = {mode: sigma * sigma for mode, sigma in zip(modes, sigmas.values()) if sigma > 0.0}
     noises = [_rotation_noise(state, mode, 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v), 0.0)
               for mode, v in s2.items()]
     return _mode_channels(state, s2, [math.exp(-v / 2.0) for v in s2.values()], noises)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -32,8 +32,16 @@ _SQRT10 = math.sqrt(10.0)
 # otherwise set the memory a run asks for (16 n^2 bytes per matrix).
 MAX_NETLIST_MODES = 64
 
-_ONE_MODE_KINDS = ("F", "Finv")
-_TWO_MODE_KINDS = ("BS+", "BS-", "SWAP")
+# Most netlist texts (and, in `cvcluster.scenarios`, custom graphs) a process
+# keeps built, the least recently used dropped first.  A netlist entry holds its
+# text, the n x n unitary and, once used, the 2n x 2n symplectic: 192 KiB at 64
+# modes; a graph entry its 16 n^2-byte nullifier table.  Both caches full hold
+# 8 MiB beside the texts; unbounded, a process fed new netlists would grow without end.
+NETWORK_CACHE_SIZE = 32
+
+# element kind -> (mode count, what follows the kind on a netlist line)
+_ONE, _TWO, _BS = (1, "one mode index"), (2, "two mode indices"), (2, "two mode indices and a transmittance")
+_ARITY = {"F": _ONE, "Finv": _ONE, "SWAP": _TWO, "BS+": _BS, "BS-": _BS}
 
 
 @dataclass(frozen=True)
@@ -51,25 +59,25 @@ class NetworkElement:
     t: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _ONE_MODE_KINDS + _TWO_MODE_KINDS:
+        if self.kind not in _ARITY:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        want, takes = _ARITY[self.kind]
         try:
             modes = tuple(as_integer(m) for m in self.modes)
         except TypeError:
             modes = (None,)
+        if len(modes) != want:
+            raise ValueError(f"{self.kind} expects {takes}, got modes {self.modes!r}")
         if None in modes:
             raise ValueError(f"modes: expected integer mode indices, got {self.modes!r}")
         object.__setattr__(self, "modes", modes)
-        want = 1 if self.kind in _ONE_MODE_KINDS else 2
-        if len(modes) != want:
-            raise ValueError(f"{self.kind} takes {want} mode(s), got {modes}")
         if any(m < 1 for m in modes):
             raise ValueError(f"mode indices are 1-based, got {modes}")
         if len(modes) == 2 and modes[0] == modes[1]:
             raise ValueError(f"two-mode element needs distinct modes, got {modes}")
         if self.kind.startswith("BS"):
             if not is_real(self.t) or not (0.0 < self.t < 1.0):
-                raise ValueError(f"t: beam-splitter transmittance must be a real number in (0, 1), got {self.t!r}")
+                raise ValueError(f"t: {self.kind} expects {takes}, a real number in (0, 1); got {self.t!r}")
             object.__setattr__(self, "t", float(self.t))
         elif self.t is not None:
             raise ValueError(f"t: {self.kind} takes no transmittance parameter")
@@ -269,22 +277,11 @@ def parse_netlist(text: str) -> NetworkProgram:
             if n_modes > MAX_NETLIST_MODES:
                 raise ValueError(f"netlist line {lineno}: {n_modes} modes exceed the cap of {MAX_NETLIST_MODES}")
             continue
-        kind = fields[0]
+        kind, *args = fields
+        # a beam-splitter line's transmittance follows its two modes; the element checks the rest
+        t = _number(args.pop(2), float) if kind.startswith("BS") and len(args) > 2 else None
         try:
-            if kind in _ONE_MODE_KINDS:
-                if len(fields) != 2:
-                    raise ValueError("expected one mode index")
-                elements.append(NetworkElement(kind, (int(fields[1]),)))
-            elif kind == "SWAP":
-                if len(fields) != 3:
-                    raise ValueError("expected two mode indices")
-                elements.append(NetworkElement(kind, (int(fields[1]), int(fields[2]))))
-            elif kind in ("BS+", "BS-"):
-                if len(fields) != 4:
-                    raise ValueError("expected two mode indices and a transmittance")
-                elements.append(NetworkElement(kind, (int(fields[1]), int(fields[2])), float(fields[3])))
-            else:
-                raise ValueError(f"unknown element kind {kind!r}")
+            elements.append(NetworkElement(kind, tuple(_number(a, int) for a in args), t))
         except ValueError as exc:
             raise ValueError(f"netlist line {lineno}: {exc}") from None
     if n_modes is None:
@@ -292,6 +289,21 @@ def parse_netlist(text: str) -> NetworkProgram:
     return NetworkProgram(n_modes, tuple(elements))
 
 
-def load_netlist(path) -> NetworkProgram:
+def _number(field: str, kind):
+    """A netlist field as a `kind` number, or the text itself for `NetworkElement` to reject."""
+    try:
+        return kind(field)
+    except ValueError:
+        return field
+
+
+@lru_cache(maxsize=NETWORK_CACHE_SIZE)
+def _netlist_unitary(text: str) -> ComplexUnitary:
+    """The checked unitary of a netlist text, built once per text."""
+    return program_matrix(parse_netlist(text))
+
+
+def load_netlist(path) -> ComplexUnitary:
+    """The unitary of a netlist file's program; the file is read on every call, the network built once per text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
+        return _netlist_unitary(fh.read())

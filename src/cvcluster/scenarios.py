@@ -42,10 +42,11 @@ from cvcluster.gaussian import (
     squeezing_db_to_r,
 )
 from cvcluster.networks import (
+    NETWORK_CACHE_SIZE,
     linear_cluster_unitary,
     linear_program,
     linear_to_square_phases,
-    parse_netlist,
+    load_netlist,
     program_matrix,
     square_cluster_unitary,
     tshape_cluster_unitary,
@@ -83,39 +84,14 @@ def _lists(value):
     return [_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
-# Most netlist texts, and apart from them most custom graphs, a process keeps
-# built; the least recently used is dropped first.  A netlist entry holds its
-# text, the n x n complex unitary and, once a run has used it, the 2n x 2n
-# symplectic: 48 n^2 bytes, 192 KiB at MAX_NETLIST_MODES.  A graph entry holds
-# its edges and, once used, its nullifier table of 16 n^2 bytes.  Both caches
-# full at 64 modes hold 8 MiB of matrices beside the texts; unbounded, a
-# process fed new netlists would grow without end.
-NETWORK_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=NETWORK_CACHE_SIZE)
-def _netlist_unitary(text: str) -> ComplexUnitary:
-    """The checked unitary of a netlist text, built once per text."""
-    try:
-        return program_matrix(parse_netlist(text))
-    except ValueError as exc:
-        raise ConfigError("network", str(exc)) from None
-
-
 def _load_netlist(path: str) -> ComplexUnitary:
-    """Read a netlist file and give its unitary; a missing or malformed file is a ConfigError on `network`.
-
-    The file is read on every call, so an edited file takes effect at once;
-    its text is the cache key.
-    """
+    """:func:`load_netlist`, with a missing or malformed file a ConfigError on `network`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return load_netlist(path)
     except OSError as exc:
         raise ConfigError("network", f"cannot read netlist {path!r}: {exc}") from None
-    except ValueError as exc:  # not UTF-8
+    except ValueError as exc:  # not UTF-8, or does not parse
         raise ConfigError("network", str(exc)) from None
-    return _netlist_unitary(text)
 
 
 @functools.lru_cache(maxsize=NETWORK_CACHE_SIZE)
@@ -252,11 +228,6 @@ class ScenarioConfig:
         vars(point).update(vars(self), **overrides)
         point._check_ranges()
         return point
-
-    @classmethod
-    def create(cls, network: str, **kwargs) -> "ScenarioConfig":
-        """Build a config; the same as calling the constructor."""
-        return cls(network=network, **kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

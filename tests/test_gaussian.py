@@ -319,6 +319,11 @@ class TestLossyChannel:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             lossy_channel(vacuum(2), 3, 0.5)
+        # checked before an identity channel (eta 1, sigma 0) is dropped
+        for channel in (lambda s: lossy_channel(s, 9, 1.0), lambda s: phase_jitter(s, 9, 0.0),
+                        lambda s: phase_jitters(s, {9: 0.0, 1: 0.1})):
+            with pytest.raises(ValueError, match=r"mode index 9 out of range 1\.\.2"):
+                channel(vacuum(2))
 
 
 class TestPhaseJitter:
@@ -443,6 +448,13 @@ class TestStateValidation:
         for cov in (0.25 * np.ones((2, 4)), 0.25 * np.eye(3)):
             with pytest.raises(ValueError, match="shape"):
                 GaussianState(cov)
+
+    @pytest.mark.parametrize("factor", [[[1.0, 2.0, 3.0]], np.ones((3, 2)), np.ones(4), np.ones((0, 2)),
+                                        np.ones((2, 2, 2)), 0.5],
+                             ids=["1x3", "3x2", "1-D", "0x2", "3-D", "scalar"])
+    def test_factor_shape_rejected(self, factor):
+        with pytest.raises(ValueError, match="^cov_factor .*shape"):
+            GaussianState(cov_factor=factor)
 
     def test_states_are_immutable(self):
         state = vacuum(1)

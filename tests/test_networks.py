@@ -245,7 +245,13 @@ class TestNetlist:
         with pytest.raises(ValueError, match="cap"):
             parse_netlist("MODES 100000\nF 1\n")
 
-    @pytest.mark.parametrize("line", ["XY 1", "F 1 2", "BS+ 1 2", "BS- 1 2 nope", "SWAP 3"])
+    @pytest.mark.parametrize("line", ["XY 1", "F 1 2", "BS+ 1 2", "BS- 1 2 nope", "SWAP 3",
+                                      "F", "BS+", "BS+ 1 2 0.5 7", "SWAP 1 1", "F 1.5"])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ValueError, match="line 2"):
+            parse_netlist(f"MODES 4\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["BS+", "BS+ 1 2", "BS+ 1 2 0.5 7", "BS- 1 2 nope extra"])
+    def test_beam_splitter_field_count_named(self, line):
+        with pytest.raises(ValueError, match="line 2: .*two mode indices and a transmittance"):
             parse_netlist(f"MODES 4\n{line}\n")

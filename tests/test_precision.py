@@ -88,7 +88,7 @@ def reference_variances(network: str, level_db: float, sigma: float, mc: bool = 
 @pytest.mark.parametrize("level_db", [-30.0, -60.0, -LEVEL_LIMIT_DB])
 @pytest.mark.parametrize("sigma", [0.0, 1e-6, 1e-3, 0.04])
 def test_jittered_nullifiers_match_reference(network, level_db, sigma):
-    cfg = ScenarioConfig.create(network, squeezing_db=level_db, antisqueezing_db=-level_db, jitter=sigma)
+    cfg = ScenarioConfig(network, squeezing_db=level_db, antisqueezing_db=-level_db, jitter=sigma)
     _assert_matches(run_scenario(cfg).nullifiers.variances, reference_variances(network, level_db, sigma))
 
 
@@ -96,7 +96,7 @@ def test_jittered_nullifiers_match_reference(network, level_db, sigma):
 @pytest.mark.parametrize("level_db", [-30.0, -60.0, -LEVEL_LIMIT_DB])
 @pytest.mark.parametrize("sigma", [1e-6, 1e-3, 0.04])
 def test_monte_carlo_nullifiers_match_same_draw_reference(network, level_db, sigma):
-    cfg = ScenarioConfig.create(
+    cfg = ScenarioConfig(
         network, squeezing_db=level_db, antisqueezing_db=-level_db, jitter=sigma, jitter_mc=(MC_SAMPLES, MC_SEED),
     )
     _assert_matches(run_scenario(cfg).nullifiers.variances, reference_variances(network, level_db, sigma, mc=True))

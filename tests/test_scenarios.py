@@ -59,14 +59,14 @@ def count_network_builds(monkeypatch) -> dict:
 
 class TestScenarioConfig:
     def test_create_expands_scalars(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         assert cfg.squeezing_db == (-6.0,) * 4
         assert cfg.antisqueezing_db == (6.0,) * 4
         assert cfg.loss == (1.0,) * 4
         assert cfg.jitter == (0.0,) * 4
 
     def test_dict_round_trip(self):
-        cfg = ScenarioConfig.create(
+        cfg = ScenarioConfig(
             "tshape4",
             squeezing_db=[-5.5, -6.3, -5.8, -6.0],
             antisqueezing_db=[9.1, 11.9, 10.0, 11.0],
@@ -123,7 +123,7 @@ class TestScenarioConfig:
         assert err.value.field == "graph_edges"
 
     def test_omitted_antisqueezing_mirrors_everywhere(self, tmp_path, capsys):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6, output_format="json")
+        cfg = ScenarioConfig("linear4", squeezing_db=-6, output_format="json")
         assert cfg.antisqueezing_db == (6.0,) * 4
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"network": "linear4", "squeezing_db": -6, "output_format": "json"}))
@@ -136,10 +136,10 @@ class TestScenarioConfig:
 
     def test_graph_edges_forbidden_for_named_networks(self):
         with pytest.raises(ConfigError, match="graph_edges"):
-            ScenarioConfig.create("linear4", graph_edges=LINEAR_EDGES)
+            ScenarioConfig("linear4", graph_edges=LINEAR_EDGES)
 
     def test_load_config_file(self, tmp_path):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
@@ -153,19 +153,19 @@ class TestScenarioConfig:
 
 class TestRunScenario:
     def test_pure_inputs_reproduce_squeezing_level(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         report = run_scenario(cfg)
         assert report.nullifiers.levels_db == pytest.approx((-6.0,) * 4, abs=1e-10)
         assert report.witness.fully_inseparable
 
     def test_tshape_vacuum_inputs(self):
-        cfg = ScenarioConfig.create("tshape4")
+        cfg = ScenarioConfig("tshape4")
         report = run_scenario(cfg)
         assert report.nullifiers.variances == pytest.approx((1.0, 0.5, 0.5, 0.5), abs=1e-12)
         assert not report.witness.fully_inseparable
 
     def test_measured_style_inputs_certify(self):
-        cfg = ScenarioConfig.create(
+        cfg = ScenarioConfig(
             "linear4",
             squeezing_db=[-5.5, -6.3, -5.8, -6.0],
             antisqueezing_db=[9.1, 11.9, 10.5, 11.2],
@@ -175,12 +175,12 @@ class TestRunScenario:
         assert report.witness.fully_inseparable
 
     def test_deterministic_json(self):
-        cfg = ScenarioConfig.create("square4", squeezing_db=-5.0, antisqueezing_db=8.0,
+        cfg = ScenarioConfig("square4", squeezing_db=-5.0, antisqueezing_db=8.0,
                                     loss=0.9, jitter=0.05, output_format="json")
         assert run_scenario(cfg).to_json() == run_scenario(cfg).to_json()
 
     def test_report_round_trip(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0,
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0,
                                     verify_decompositions=True)
         report = run_scenario(cfg)
         recovered = ScenarioReport.from_dict(json.loads(report.to_json()))
@@ -188,8 +188,8 @@ class TestRunScenario:
         assert recovered.to_json() == report.to_json()
 
     def test_netlist_matches_named_network(self, linear_netlist):
-        named = run_scenario(ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0))
-        custom = run_scenario(ScenarioConfig.create(
+        named = run_scenario(ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0))
+        custom = run_scenario(ScenarioConfig(
             linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0, graph_edges=LINEAR_EDGES,
         ))
         assert custom.nullifiers.variances == pytest.approx(named.nullifiers.variances, rel=1e-12)
@@ -197,50 +197,50 @@ class TestRunScenario:
         assert custom.witness is None
 
     def test_netlist_analytic_column_absent(self, linear_netlist):
-        report = run_scenario(ScenarioConfig.create(
+        report = run_scenario(ScenarioConfig(
             linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0, graph_edges=LINEAR_EDGES,
         ))
         assert all(e.analytic_variance is None for e in report.nullifiers.entries)
 
     def test_witness_on_custom_graph_rejected(self, linear_netlist):
-        cfg = ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0,
+        cfg = ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0,
                                     graph_edges=LINEAR_EDGES, witness=True)
         with pytest.raises(UnsupportedGraphError, match="custom"):
             run_scenario(cfg)
 
     def test_witness_without_graph_rejected(self, linear_netlist):
-        cfg = ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0, witness=True)
+        cfg = ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0, witness=True)
         with pytest.raises(UnsupportedGraphError):
             run_scenario(cfg)
 
     def test_witness_can_be_disabled(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0, witness=False)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0, witness=False)
         assert run_scenario(cfg).witness is None
 
     def test_loss_placement_matters_for_uneven_loss(self):
-        pre = run_scenario(ScenarioConfig.create(
+        pre = run_scenario(ScenarioConfig(
             "linear4", squeezing_db=-6.0, antisqueezing_db=6.0,
             loss=[0.5, 1.0, 1.0, 1.0], loss_placement="pre",
         ))
-        post = run_scenario(ScenarioConfig.create(
+        post = run_scenario(ScenarioConfig(
             "linear4", squeezing_db=-6.0, antisqueezing_db=6.0,
             loss=[0.5, 1.0, 1.0, 1.0], loss_placement="post",
         ))
         assert np.max(np.abs(np.array(pre.nullifiers.variances) - post.nullifiers.variances)) > 1e-3
 
     def test_uniform_loss_weakens_but_preserves_verdict(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0, loss=0.9)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0, loss=0.9)
         report = run_scenario(cfg)
-        ideal = run_scenario(ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0))
+        ideal = run_scenario(ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0))
         assert all(v > vi for v, vi in zip(report.nullifiers.variances, ideal.nullifiers.variances))
         assert report.witness.fully_inseparable
 
     def test_jitter_mc_close_to_closed_form(self):
         base = dict(squeezing_db=-6.0, antisqueezing_db=6.0, jitter=0.1)
-        closed = run_scenario(ScenarioConfig.create("linear4", **base))
-        sampled = run_scenario(ScenarioConfig.create("linear4", **base, jitter_mc=(100_000, 7)))
+        closed = run_scenario(ScenarioConfig("linear4", **base))
+        sampled = run_scenario(ScenarioConfig("linear4", **base, jitter_mc=(100_000, 7)))
         assert sampled.nullifiers.variances == pytest.approx(closed.nullifiers.variances, rel=5e-3)
-        again = run_scenario(ScenarioConfig.create("linear4", **base, jitter_mc=(100_000, 7)))
+        again = run_scenario(ScenarioConfig("linear4", **base, jitter_mc=(100_000, 7)))
         assert again.to_json() == sampled.to_json()
 
     @pytest.mark.parametrize("jitter_mc", [None, (1000, 3)])
@@ -249,7 +249,7 @@ class TestRunScenario:
             raise AssertionError("a channel went through the dense covariance path")
 
         monkeypatch.setattr(gaussian, "_factor_covariance", refuse)
-        cfg = ScenarioConfig.create(
+        cfg = ScenarioConfig(
             "tshape4", squeezing_db=-60.0, loss=[0.9, 0.8, 1.0, 0.95], jitter=0.03, jitter_mc=jitter_mc,
         )
         assert all(v > 0.0 for v in run_scenario(cfg).nullifiers.variances)
@@ -266,7 +266,7 @@ class TestRunScenario:
             run_scenario(ScenarioConfig(network=str(path), squeezing_db=[-6.0] * 4))
 
     def test_text_report_formatting(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         text = run_scenario(cfg).to_text()
         assert "network            : linear4" in text
         assert "-6.0" in text
@@ -275,7 +275,7 @@ class TestRunScenario:
 
 class TestSweep:
     def test_squeezing_sweep_levels_track_axis(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         result = run_sweep(cfg, "squeezing_db", -12.0, 0.0, 13)
         assert result.values == pytest.approx(tuple(np.linspace(-12, 0, 13)))
         for value, report in zip(result.values, result.reports):
@@ -283,7 +283,7 @@ class TestSweep:
 
     def test_squeezing_sweep_to_zero_keeps_antisqueezing_unsigned(self):
         # a mirrored mode's antisqueezing is the negated axis value, which must not become -0.0
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0)
         last = run_sweep(cfg, "squeezing_db", -6.0, 0.0, 3).reports[-1]
         assert [math.copysign(1.0, a) for a in last.config.antisqueezing_db] == [1.0] * 4
         assert "antisqueezing [dB] : 0.0 0.0 0.0 0.0\n" in last.to_text()
@@ -294,7 +294,7 @@ class TestSweep:
                             counting(counts, "ComplexUnitary", gaussian.ComplexUnitary.__init__))
         monkeypatch.setattr(gaussian, "unitary_to_symplectic",
                             counting(counts, "unitary_to_symplectic", gaussian.unitary_to_symplectic))
-        cfg = ScenarioConfig.create("square4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
+        cfg = ScenarioConfig("square4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
         run_sweep(cfg, "loss", 0.5, 1.0, 1)  # the first use builds what later sweeps share
         per_sweep = []
         for steps in (3, 30):
@@ -304,13 +304,13 @@ class TestSweep:
         assert per_sweep[0] == per_sweep[1]
 
     def test_loss_sweep_monotone_variances(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         result = run_sweep(cfg, "loss", 1.0, 0.0, 6)
         variances = np.array([r.nullifiers.variances for r in result.reports])
         assert np.all(np.diff(variances, axis=0) >= -1e-12)
 
     def test_csv_shape(self):
-        cfg = ScenarioConfig.create("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         lines = run_sweep(cfg, "jitter", 0.0, 0.2, 3).to_csv().strip().split("\n")
         header = lines[0].split(",")
         assert header[:2] == ["axis", "value"]
@@ -322,18 +322,18 @@ class TestSweep:
         assert len(first) == len(header)
 
     def test_zero_steps_rejected(self):
-        cfg = ScenarioConfig.create("linear4")
+        cfg = ScenarioConfig("linear4")
         with pytest.raises(ConfigError, match="steps"):
             run_sweep(cfg, "loss", 1.0, 0.0, 0)
 
     @pytest.mark.parametrize("steps", [True, 2.5, "3"])
     def test_steps_must_be_an_integer(self, steps):
-        cfg = ScenarioConfig.create("linear4")
+        cfg = ScenarioConfig("linear4")
         with pytest.raises(ConfigError, match="steps"):
             run_sweep(cfg, "loss", 1.0, 0.0, steps)
 
     def test_integral_values_pass_as_integers(self, linear_netlist):
-        cfg = ScenarioConfig.create(
+        cfg = ScenarioConfig(
             linear_netlist, squeezing_db=[-6.0] * 4, jitter_mc=[1000.0, np.int64(3)],
             graph_edges=[[1.0, np.int64(2)], [2, 3], [3, 4]],
         )
@@ -341,12 +341,12 @@ class TestSweep:
         assert len(run_sweep(cfg, "loss", 1.0, 0.5, 2.0).reports) == 2
 
     def test_unknown_axis_rejected(self):
-        cfg = ScenarioConfig.create("linear4")
+        cfg = ScenarioConfig("linear4")
         with pytest.raises(ConfigError, match="axis"):
             run_sweep(cfg, "temperature", 0.0, 1.0, 3)
 
     def test_netlist_sweep_requires_graph(self, linear_netlist):
-        cfg = ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0)
+        cfg = ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0)
         with pytest.raises(ConfigError, match="graph_edges"):
             run_sweep(cfg, "loss", 1.0, 0.5, 3)
 
@@ -359,7 +359,7 @@ class TestSweep:
     ])
     def test_point_out_of_range_names_the_field(self, base, axis, start, message):
         with pytest.raises(ConfigError) as exc:
-            run_sweep(ScenarioConfig.create("linear4", **base), axis, start, 0.5, 2)
+            run_sweep(ScenarioConfig("linear4", **base), axis, start, 0.5, 2)
         assert str(exc.value) == message
 
 
@@ -443,9 +443,9 @@ def report_dict(base: str) -> dict:
     if base == "measured_gap":
         cfg = load_config(MEASURED_GAP)
     elif base == "vacuum":
-        cfg = ScenarioConfig.create("linear4")
+        cfg = ScenarioConfig("linear4")
     else:  # a delegated verdict, with the decomposition section attached
-        cfg = ScenarioConfig.create("square4", squeezing_db=[-5.5, -6.3, -5.8, -6.0], antisqueezing_db=11.0,
+        cfg = ScenarioConfig("square4", squeezing_db=[-5.5, -6.3, -5.8, -6.0], antisqueezing_db=11.0,
                                     loss=0.9, jitter=0.03, verify_decompositions=True)
     return json.loads(run_scenario(cfg).to_json())
 
@@ -552,13 +552,13 @@ class TestReportFromDict:
         {},
     ], ids=["graph", "graph-no-witness", "no-graph"])
     def test_netlist_report_round_trips_without_its_file(self, linear_netlist, kwargs):
-        report = run_scenario(ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, antisqueezing_db=9.0,
+        report = run_scenario(ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=9.0,
                                                     loss=[0.9, 1, 1, 0.8], **kwargs))
         Path(linear_netlist).unlink()
         assert ScenarioReport.from_dict(json.loads(report.to_json())) == report
 
     def test_witness_on_a_graph_without_pairing_is_unsupported(self, linear_netlist):
-        report = run_scenario(ScenarioConfig.create(linear_netlist, squeezing_db=-6.0, graph_edges=LINEAR_EDGES))
+        report = run_scenario(ScenarioConfig(linear_netlist, squeezing_db=-6.0, graph_edges=LINEAR_EDGES))
         data = tampered(json.loads(report.to_json()), ("config", "witness"), True)
         with pytest.raises(UnsupportedGraphError, match="custom"):
             ScenarioReport.from_dict(data)
@@ -575,7 +575,7 @@ class TestVerifyDecompositions:
         assert report.square_relation_deviation < 1e-12
 
     def test_report_attached_on_request(self):
-        cfg = ScenarioConfig.create("linear4", verify_decompositions=True)
+        cfg = ScenarioConfig("linear4", verify_decompositions=True)
         report = run_scenario(cfg)
         assert report.decompositions is not None
         assert "decomposition checks" in report.to_text()
@@ -584,7 +584,7 @@ class TestVerifyDecompositions:
         first = verify_decompositions()
         counts = count_network_builds(monkeypatch)
         again = [verify_decompositions() for _ in range(3)]
-        attached = run_scenario(ScenarioConfig.create("tshape4", verify_decompositions=True)).decompositions
+        attached = run_scenario(ScenarioConfig("tshape4", verify_decompositions=True)).decompositions
         assert counts == dict.fromkeys(counts, 0)
         assert all(report == first for report in again + [attached])
 
@@ -593,7 +593,7 @@ class TestNetworkCache:
     def test_netlist_is_keyed_by_its_text_not_its_path(self, tmp_path):
         path = tmp_path / "network.net"
         path.write_text(emit_netlist(linear_program()))
-        cfg = ScenarioConfig.create(str(path), squeezing_db=[-6.0, -5.0, -4.0, -3.0], graph_edges=LINEAR_EDGES)
+        cfg = ScenarioConfig(str(path), squeezing_db=[-6.0, -5.0, -4.0, -3.0], graph_edges=LINEAR_EDGES)
         linear = run_scenario(cfg)
         path.write_text(emit_netlist(tshape_program()))
         rewritten = run_scenario(cfg)
@@ -623,8 +623,8 @@ class TestNetworkCache:
         path = tmp_path / "network.net"
         for k, edges in enumerate(edge_sets):
             path.write_text(f"# variant {k}\n{text}")
-            run_scenario(ScenarioConfig.create(str(path), squeezing_db=-6.0, graph_edges=edges))
-        for cached in (scenarios._netlist_unitary, scenarios._custom_graph):
+            run_scenario(ScenarioConfig(str(path), squeezing_db=-6.0, graph_edges=edges))
+        for cached in (networks._netlist_unitary, scenarios._custom_graph):
             info = cached.cache_info()
             assert info.maxsize == scenarios.NETWORK_CACHE_SIZE
             assert info.currsize == scenarios.NETWORK_CACHE_SIZE
