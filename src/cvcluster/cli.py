@@ -76,8 +76,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser):
                         help="cluster graph for a netlist network, e.g. '1-2,2-3,3-4'")
     parser.add_argument("--verify-decompositions", dest="verify_decompositions", action="store_true",
                         default=None, help="append the decomposition checks to the report")
-    parser.add_argument("--jitter-mc", dest="jitter_mc", nargs=2, type=int, metavar=("SAMPLES", "SEED"),
-                        help="debug: evaluate phase jitter by Monte-Carlo sampling instead of the closed form")
 
 
 def _scenario_config(args) -> ScenarioConfig:
@@ -93,8 +91,6 @@ def _scenario_config(args) -> ScenarioConfig:
             data[field] = getattr(args, field)
     if args.graph_edges is not None:
         data["graph_edges"] = _parse_edges(args.graph_edges)
-    if args.jitter_mc is not None:
-        data["jitter_mc"] = list(args.jitter_mc)
     return ScenarioConfig.from_dict(data)
 
 

@@ -344,20 +344,20 @@ def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return lossy_channels(state, {mode: eta})
 
 
-def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float, vcs: float):
+def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float):
     """Rows of the lower Cholesky factor of the noise N = E[D G D^T] a random rotation adds to one mode.
 
     R = cos theta I + sin theta J = E[R] + D, J = [[0, -1], [1, 0]], with
-    D = dc I + ds J of centred moments vcc = E[dc^2], vss = E[ds^2],
-    vcs = E[dc ds]; G = F_m F_m^T is the mode's covariance block:
-    N = vcc G + vss J G J^T + vcs (J G + G J^T).
+    D = dc I + ds J of centred moments vcc = E[dc^2], vss = E[ds^2] and
+    E[dc ds] = 0 (theta is symmetric about 0); G = F_m F_m^T is the mode's
+    covariance block: N = vcc G + vss J G J^T.
     """
     n = state.cov_factor.shape[0] // 2
     rows = state.cov_factor[mode - 1::n]  # the mode's x and p rows
     (gxx, gxp), (_, gpp) = (rows @ rows.T).tolist()
-    nxx = vcc * gxx + vss * gpp - 2.0 * vcs * gxp
-    npp = vcc * gpp + vss * gxx + 2.0 * vcs * gxp
-    nxp = (vcc - vss) * gxp + vcs * (gxx - gpp)
+    nxx = vcc * gxx + vss * gpp
+    npp = vcc * gpp + vss * gxx
+    nxp = (vcc - vss) * gxp
     # clipped against rounding
     lxx = math.sqrt(max(nxx, 0.0))
     lpx = nxp / lxx if lxx > 0.0 else 0.0
@@ -373,7 +373,7 @@ def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianSta
         if not (sigma >= 0.0 and math.isfinite(sigma)):
             raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
     s2 = {mode: sigma * sigma for mode, sigma in zip(modes, sigmas.values()) if sigma > 0.0}
-    noises = [_rotation_noise(state, mode, 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v), 0.0)
+    noises = [_rotation_noise(state, mode, 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v))
               for mode, v in s2.items()]
     return _mode_channels(state, s2, [math.exp(-v / 2.0) for v in s2.values()], noises)
 
@@ -392,45 +392,6 @@ def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState
         sigma: phase standard deviation in radians, >= 0.
     """
     return phase_jitters(state, {mode: sigma})
-
-
-def phase_jitter_mc(state: GaussianState, mode: int, sigma: float, samples: int = 200_000, seed: int = 0) -> GaussianState:
-    """Monte-Carlo estimate of :func:`phase_jitter` by sampling rotations.
-
-    The same channel, fed the moments of `samples` seeded draws of theta.
-    Their mean rotation E[R] = c1 I + s1 J = rho Rot(phi) need not be a
-    scaling, so the mode first turns by phi and then scales by rho; nothing
-    divides by rho, which is 0 if the phases cancel.  Draws come in blocks of
-    which only sums are kept, so memory does not grow with `samples`; cos - 1
-    is taken as -2 sin^2(theta/2) to keep its digits at small sigma.
-    """
-    mode = _checked_mode(mode, state.n_modes)
-    if not (sigma >= 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
-    samples, seed = _integer("samples", samples), _integer("seed", seed)
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if sigma == 0.0:
-        return state
-    rng = np.random.default_rng(seed)
-    # the exact E[cos] - 1, so that the sums of squares below barely cancel
-    shift = math.expm1(-sigma * sigma / 2.0)
-    sums, squares = np.zeros(2), np.zeros((2, 2))
-    for start in range(0, samples, 20_000):
-        thetas = rng.normal(0.0, sigma, size=min(20_000, samples - start))
-        d = np.stack([-2.0 * np.sin(thetas / 2.0) ** 2 - shift, np.sin(thetas)])
-        sums += d.sum(axis=1)
-        squares += d @ d.T
-    mean = sums / samples
-    (vcc, vcs), (_, vss) = squares / samples - np.outer(mean, mean)
-    c1, s1 = 1.0 + shift + mean[0], mean[1]
-    noise = _rotation_noise(state, mode, vcc, vss, vcs)
-    phases = np.ones(state.n_modes, dtype=complex)
-    phases[mode - 1] = np.exp(1j * math.atan2(s1, c1))
-    turned = apply_unitary(state, ComplexUnitary(np.diag(phases)))
-    return _mode_channels(turned, [mode], [math.hypot(c1, s1)], [noise])
 
 
 def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:

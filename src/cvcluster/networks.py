@@ -116,10 +116,16 @@ def beam_splitter_block(t: float, sign: int) -> np.ndarray:
     return np.array([[t, refl], [sign * refl, -sign * t]])
 
 
-def element_matrix(element: NetworkElement, n_modes: int) -> ComplexUnitary:
-    """The n x n unitary of one element, identity outside its modes."""
+def _within(element: NetworkElement, n_modes: int) -> NetworkElement:
+    """`element` if its modes lie within `n_modes`, else a ValueError naming both."""
     if any(m > n_modes for m in element.modes):
         raise ValueError(f"element {element.kind} on modes {element.modes} exceeds {n_modes} modes")
+    return element
+
+
+def element_matrix(element: NetworkElement, n_modes: int) -> ComplexUnitary:
+    """The n x n unitary of one element, identity outside its modes."""
+    _within(element, n_modes)
     m = np.eye(n_modes, dtype=complex)
     if element.kind == "F":
         m[element.modes[0] - 1, element.modes[0] - 1] = 1j
@@ -156,8 +162,7 @@ class NetworkProgram:
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "elements", tuple(self.elements))
         for e in self.elements:
-            if any(m > self.n_modes for m in e.modes):
-                raise ValueError(f"element {e.kind} on modes {e.modes} exceeds {self.n_modes} modes")
+            _within(e, n_modes)
 
 
 def program_matrix(program: NetworkProgram) -> ComplexUnitary:
@@ -258,7 +263,8 @@ def parse_netlist(text: str) -> NetworkProgram:
     """Parse the netlist format emitted by :func:`emit_netlist`.
 
     Blank lines and lines starting with '#' are ignored.  The first
-    significant line must be `MODES <n>` with n at most `MAX_NETLIST_MODES`.
+    significant line must be `MODES <n>` with 1 <= n <= `MAX_NETLIST_MODES`.
+    Every error in a line, a mode beyond n included, names the line.
     """
     n_modes = None
     elements = []
@@ -270,10 +276,9 @@ def parse_netlist(text: str) -> NetworkProgram:
         if n_modes is None:
             if fields[0] != "MODES" or len(fields) != 2:
                 raise ValueError(f"netlist line {lineno}: expected 'MODES <n>' header, got {line!r}")
-            try:
-                n_modes = int(fields[1])
-            except ValueError:
-                raise ValueError(f"netlist line {lineno}: bad mode count {fields[1]!r}") from None
+            n_modes = _number(fields[1], int)
+            if not isinstance(n_modes, int) or n_modes < 1:
+                raise ValueError(f"netlist line {lineno}: bad mode count {fields[1]!r}, expected an integer >= 1")
             if n_modes > MAX_NETLIST_MODES:
                 raise ValueError(f"netlist line {lineno}: {n_modes} modes exceed the cap of {MAX_NETLIST_MODES}")
             continue
@@ -281,7 +286,7 @@ def parse_netlist(text: str) -> NetworkProgram:
         # a beam-splitter line's transmittance follows its two modes; the element checks the rest
         t = _number(args.pop(2), float) if kind.startswith("BS") and len(args) > 2 else None
         try:
-            elements.append(NetworkElement(kind, tuple(_number(a, int) for a in args), t))
+            elements.append(_within(NetworkElement(kind, tuple(_number(a, int) for a in args), t), n_modes))
         except ValueError as exc:
             raise ValueError(f"netlist line {lineno}: {exc}") from None
     if n_modes is None:

@@ -37,7 +37,6 @@ from cvcluster.gaussian import (
     impure_squeezed_inputs,
     is_real,
     lossy_channels,
-    phase_jitter_mc,
     phase_jitters,
     squeezing_db_to_r,
 )
@@ -110,8 +109,8 @@ class ScenarioConfig:
     one value per mode and are stored as float tuples; omitted ones are
     0 dB, eta 1 and sigma 0, but an omitted `antisqueezing_db` mirrors a given
     `squeezing_db` (pure inputs).  Per-mode values must be real numbers, node
-    labels and `jitter_mc` values integers.  Built-in networks have 4 modes;
-    a netlist has as many as the first per-mode list, or as its `MODES` header.
+    labels integers.  Built-in networks have 4 modes; a netlist has as many
+    as the first per-mode list, or as its `MODES` header.
     `witness` None means on for built-in networks, off for netlists.
     `graph_edges` gives a netlist its cluster graph.
     """
@@ -126,7 +125,6 @@ class ScenarioConfig:
     witness: bool | None = None
     graph_edges: tuple[tuple[int, int], ...] | None = None
     verify_decompositions: bool = False
-    jitter_mc: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not isinstance(self.network, str) or not self.network:
@@ -184,17 +182,6 @@ class ScenarioConfig:
             object.__setattr__(self, "graph_edges", edges)
         if not isinstance(self.verify_decompositions, bool):
             raise ConfigError("verify_decompositions", f"expected a boolean, got {self.verify_decompositions!r}")
-        if self.jitter_mc is not None:
-            try:
-                samples, seed = self.jitter_mc
-            except (TypeError, ValueError):
-                raise ConfigError("jitter_mc", f"expected [samples, seed], got {self.jitter_mc!r}") from None
-            samples, seed = _integer("jitter_mc", samples), _integer("jitter_mc", seed)
-            if samples < 1:
-                raise ConfigError("jitter_mc", f"sample count must be >= 1, got {samples}")
-            if seed < 0:
-                raise ConfigError("jitter_mc", f"seed must be >= 0, got {seed}")
-            object.__setattr__(self, "jitter_mc", (samples, seed))
 
     def _check_ranges(self):
         """Check each per-mode value's range; the values are already finite float tuples of one length."""
@@ -541,11 +528,10 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
     """Simulate one scenario: inputs, channels, network, and analysis.
 
     Loss is applied per mode before or after the network according to
-    `loss_placement`; phase jitter always acts on the network outputs.
-    The run is deterministic, including the Monte-Carlo jitter debug path,
-    which derives one seed per mode from the configured seed.  `_network` is
-    the (unitary, graph) pair `_resolve_network` gives for `cfg`, passed by
-    `run_sweep` so that a sweep resolves its network once, not per point.
+    `loss_placement`; phase jitter always acts on the network outputs, in
+    closed form.  The run is deterministic.  `_network` is the (unitary,
+    graph) pair `_resolve_network` gives for `cfg`, passed by `run_sweep` so
+    that a sweep resolves its network once, not per point.
     """
     unitary, graph = _resolve_network(cfg) if _network is None else _network
     state = impure_squeezed_inputs(cfg.squeezing_db, cfg.antisqueezing_db)
@@ -556,12 +542,7 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
     if cfg.loss_placement == "post":
         state = lossy_channels(state, losses)
     jitters = {mode: sigma for mode, sigma in enumerate(cfg.jitter, start=1) if sigma > 0.0}
-    if cfg.jitter_mc is None:
-        state = phase_jitters(state, jitters)
-    else:
-        samples, seed = cfg.jitter_mc
-        for mode, sigma in jitters.items():
-            state = phase_jitter_mc(state, mode, sigma, samples=samples, seed=seed + mode - 1)
+    state = phase_jitters(state, jitters)
 
     nullifiers = None if graph is None else nullifier_report(state, graph, squeezing_r=cfg.squeezing_r)
     witness = full_inseparability_verdict(state, graph, nullifiers) if _wants_witness(cfg, graph) else None

@@ -2,11 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from cvcluster.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED_GRAPH, main
 from cvcluster.networks import emit_netlist, linear_program
+
+MEASURED_GAP = Path(__file__).resolve().parent.parent / "configs" / "measured_gap.json"
 
 
 @pytest.fixture
@@ -85,22 +88,14 @@ class TestSimulate:
         ("--network", "linear4", "--squeezing-db=-82"),
         ("--network", "tshape4", "--squeezing-db=-85"),
         ("--network", "tshape4", "--squeezing-db=-90", "--jitter", "1e-7"),
-        # Monte-Carlo jitter enters its averaged covariance through the validated path
-        ("--network", "linear4", "--squeezing-db=-82", "--jitter", "0.01", "--jitter-mc", "1000", "1"),
+        ("--network", "square4", "--squeezing-db=-82", "--jitter", "0.01,0,0.02,1e-6"),
+        ("--network", "linear4", "--squeezing-db=-82", "--loss", "0.99", "--loss-placement", "post", "--jitter", "0.01"),
     ])
     def test_deep_squeezing_reports_finite_levels(self, capsys, argv):
         code, out, err = run_cli(capsys, "simulate", *argv, "--format", "json")
         assert code == EXIT_OK, err
         levels = [node["level_db"] for node in json.loads(out)["nullifiers"]["nodes"]]
         assert len(levels) == 4 and all(math.isfinite(v) for v in levels)
-
-    def test_jitter_mc_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "simulate", "--network", "linear4", "--squeezing-db=-6",
-            "--jitter", "0.05", "--jitter-mc", "20000", "3", "--format", "json",
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["config"]["jitter_mc"] == [20000, 3]
 
 
 class TestErrorPaths:
@@ -137,8 +132,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv,field", [
         (("simulate", "--network", "linear4", "--squeezing-db=-3100"), "squeezing_db[0]"),
         (("simulate", "--network", "linear4", "--antisqueezing-db=3100"), "antisqueezing_db[0]"),
-        (("simulate", "--network", "linear4", "--squeezing-db=-6", "--jitter", "0.01", "--jitter-mc", "100", "-5"),
-         "jitter_mc"),
         (("sweep", "--network", "linear4", "--squeezing-db=-6", "--axis", "loss", "--from", "0.5", "--to", "1",
           "--steps", "10000000000000"), "steps"),
     ])
@@ -146,6 +139,15 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: {field}: ")
+
+    def test_config_file_with_a_removed_field_is_rejected(self, capsys, tmp_path):
+        # configs once carried a `jitter_mc` field, null unless sampling was asked for
+        data = json.loads(MEASURED_GAP.read_text(encoding="utf-8"))
+        data["jitter_mc"] = None
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out, err) == (EXIT_CONFIG, "", "config error: jitter_mc: unknown field\n")
 
     def test_netlist_mode_count_capped(self, capsys, tmp_path):
         path = tmp_path / "huge.net"

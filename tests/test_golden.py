@@ -47,7 +47,6 @@ CASES = {
     ],
     "verify_decompositions.txt": ["verify-decompositions"],
     "verify_decompositions.json": ["verify-decompositions", "--format", "json"],
-    "jitter_mc.json": ["simulate", "--config", MEASURED_GAP, "--jitter-mc", "1000", "7", "--format", "json"],
     "square4_pre_loss_jitter.json": [
         "simulate", "--network", "square4", *IMPERFECT,
         "--loss=0.9,0.95,0.92,0.97", "--loss-placement", "pre", "--jitter=0.03,0.01,0.02,0.05",

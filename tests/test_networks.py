@@ -246,10 +246,15 @@ class TestNetlist:
             parse_netlist("MODES 100000\nF 1\n")
 
     @pytest.mark.parametrize("line", ["XY 1", "F 1 2", "BS+ 1 2", "BS- 1 2 nope", "SWAP 3",
-                                      "F", "BS+", "BS+ 1 2 0.5 7", "SWAP 1 1", "F 1.5"])
+                                      "F", "BS+", "BS+ 1 2 0.5 7", "SWAP 1 1", "F 1.5", "F 5", "BS+ 2 5 0.5"])
     def test_malformed_lines_rejected(self, line):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="^netlist line 2: "):
             parse_netlist(f"MODES 4\n{line}\n")
+
+    @pytest.mark.parametrize("header", ["MODES 0", "MODES -2", "MODES 2.0"])
+    def test_bad_mode_count_names_its_line(self, header):
+        with pytest.raises(ValueError, match="^netlist line 2: bad mode count .*, expected an integer >= 1$"):
+            parse_netlist(f"# comment\n{header}\nF 1\n")
 
     @pytest.mark.parametrize("line", ["BS+", "BS+ 1 2", "BS+ 1 2 0.5 7", "BS- 1 2 nope extra"])
     def test_beam_splitter_field_count_named(self, line):

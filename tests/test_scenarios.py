@@ -90,16 +90,14 @@ class TestScenarioConfig:
         ("output_format", "yaml", "output_format"),
         ("squeezing_db", [-6, -6, -6, -3100.0], "squeezing_db[3]"),
         ("antisqueezing_db", [6.0, 3100.0, 6.0, 6.0], "antisqueezing_db[1]"),
-        ("jitter_mc", [100, -5], "jitter_mc"),
-        ("jitter_mc", [100, math.inf], "jitter_mc"),
         ("loss", 10 ** 400, "loss"),
-        ("jitter_mc", [1000.7, 3], "jitter_mc"),
-        ("jitter_mc", ["12", 3], "jitter_mc"),
-        ("jitter_mc", [1000, True], "jitter_mc"),
         ("loss", ["0.9"] * 4, "loss"),
         ("jitter", [False] * 4, "jitter"),
         ("squeezing_db", ["-6"] * 4, "squeezing_db"),
         ("loss", [True] * 4, "loss"),
+        ("jitter", [0.0, math.nan, 0.0, 0.0], "jitter"),
+        ("jitter", [0.0, 0.0, math.inf, 0.0], "jitter"),
+        ("jitter", [0.0] * 3, "jitter"),
     ])
     def test_validation_reports_field_path(self, field, value, path):
         base = {"network": "linear4", "squeezing_db": -6.0, "antisqueezing_db": 6.0}
@@ -235,22 +233,14 @@ class TestRunScenario:
         assert all(v > vi for v, vi in zip(report.nullifiers.variances, ideal.nullifiers.variances))
         assert report.witness.fully_inseparable
 
-    def test_jitter_mc_close_to_closed_form(self):
-        base = dict(squeezing_db=-6.0, antisqueezing_db=6.0, jitter=0.1)
-        closed = run_scenario(ScenarioConfig("linear4", **base))
-        sampled = run_scenario(ScenarioConfig("linear4", **base, jitter_mc=(100_000, 7)))
-        assert sampled.nullifiers.variances == pytest.approx(closed.nullifiers.variances, rel=5e-3)
-        again = run_scenario(ScenarioConfig("linear4", **base, jitter_mc=(100_000, 7)))
-        assert again.to_json() == sampled.to_json()
-
-    @pytest.mark.parametrize("jitter_mc", [None, (1000, 3)])
-    def test_pipeline_never_factors_a_dense_covariance(self, monkeypatch, jitter_mc):
+    @pytest.mark.parametrize("loss_placement", ["pre", "post"])
+    def test_pipeline_never_factors_a_dense_covariance(self, monkeypatch, loss_placement):
         def refuse(*args):
             raise AssertionError("a channel went through the dense covariance path")
 
         monkeypatch.setattr(gaussian, "_factor_covariance", refuse)
         cfg = ScenarioConfig(
-            "tshape4", squeezing_db=-60.0, loss=[0.9, 0.8, 1.0, 0.95], jitter=0.03, jitter_mc=jitter_mc,
+            "tshape4", squeezing_db=-60.0, loss=[0.9, 0.8, 1.0, 0.95], loss_placement=loss_placement, jitter=0.03,
         )
         assert all(v > 0.0 for v in run_scenario(cfg).nullifiers.variances)
 
@@ -333,11 +323,8 @@ class TestSweep:
             run_sweep(cfg, "loss", 1.0, 0.0, steps)
 
     def test_integral_values_pass_as_integers(self, linear_netlist):
-        cfg = ScenarioConfig(
-            linear_netlist, squeezing_db=[-6.0] * 4, jitter_mc=[1000.0, np.int64(3)],
-            graph_edges=[[1.0, np.int64(2)], [2, 3], [3, 4]],
-        )
-        assert cfg.jitter_mc == (1000, 3) and cfg.graph_edges == LINEAR_EDGES
+        cfg = ScenarioConfig(linear_netlist, squeezing_db=[-6.0] * 4, graph_edges=[[1.0, np.int64(2)], [2, 3], [3, 4]])
+        assert cfg.graph_edges == LINEAR_EDGES
         assert len(run_sweep(cfg, "loss", 1.0, 0.5, 2.0).reports) == 2
 
     def test_unknown_axis_rejected(self):
@@ -388,7 +375,6 @@ def sweep_case(draw, netlist):
         "loss": draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)),
         "loss_placement": draw(st.sampled_from(["pre", "post"])),
         "jitter": draw(st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4)),
-        "jitter_mc": draw(st.none() | st.tuples(st.integers(1, 50), st.integers(0, 9))),
         "output_format": draw(st.sampled_from(["text", "json"])),
     }
     if network == netlist:
@@ -498,6 +484,8 @@ class TestReportFromDict:
                                  "decompositions"),
         "unknown section": ("measured_gap", ("trace",), {}, "trace"),
         "unknown key": ("measured_gap", ("witness", "margin"), 0.1, "witness.margin"),
+        # reports written while the config had a Monte-Carlo jitter field no longer read back
+        "removed config field": ("measured_gap", ("config", "jitter_mc"), None, "jitter_mc"),
     }
 
     @pytest.mark.parametrize("name", sorted(TAMPERS))
