@@ -7,8 +7,12 @@ variance, and variances are all this package reports.  A passive network
 given as a complex unitary U = A + iB maps to the real quadrature transform
 S = [[A, -B], [B, A]] (symplectic, orthogonal, built once) and sends F to S F;
 loss and phase jitter scale a mode's rows and append two noise columns, all
-modes of a kind in one pass.  Channel-built states are physical and are not
-re-validated; only a caller-supplied covariance is checked, once, and
+modes of a kind in one pass.  Each stage is one kernel on a stack of k
+factors of shape (k, 2n, m) (`input_factors`, `loss_factors`,
+`network_factors`, `jitter_factors`); the state functions are its k = 1
+calls, and a sweep sends all its points through each kernel at once.
+Channel-built states are physical and are checked only for shape and
+finiteness; a caller-supplied covariance is checked physically, once, and
 factored.  Combination variances are sums of squares ||F^T c||^2, accurate
 even when huge antisqueezed variances cancel.
 
@@ -153,12 +157,12 @@ class GaussianState:
         cov: the derived, read-only covariance F F^T.
 
     Channels construct states with ``cov_factor=``; such a factor is physical
-    by construction, so only its shape is checked: a float64 array is taken
-    over and made read-only, not copied, and anything else is converted to
-    one.  ``GaussianState(cov)`` is the physically validated entry point: the
-    covariance must be finite, symmetric and satisfy the uncertainty
-    relation cov + (i/4) Omega >= 0, and is factored once.  The vacuum state
-    saturates the relation with cov = (1/4) I.
+    by construction, so only its shape and finiteness are checked: a float64
+    array is taken over and made read-only, not copied, and anything else is
+    converted to one.  ``GaussianState(cov)`` is the physically validated
+    entry point: the covariance must be finite, symmetric and satisfy the
+    uncertainty relation cov + (i/4) Omega >= 0, and is factored once.  The
+    vacuum state saturates the relation with cov = (1/4) I.
     """
 
     cov_factor: np.ndarray
@@ -169,6 +173,8 @@ class GaussianState:
         factor = _factor_covariance(cov) if cov_factor is None else np.asarray(cov_factor, dtype=float)
         if factor.ndim != 2 or len(factor) % 2 or not len(factor):
             raise ValueError(f"cov_factor must be 2-D with an even, nonzero row count, got shape {factor.shape}")
+        if not np.isfinite(factor).all():
+            raise ValueError("cov_factor must be finite")
         object.__setattr__(self, "cov_factor", _read_only(factor))
 
     @property
@@ -251,12 +257,22 @@ def impure_squeezed_vacuum(spec: SqueezedInputSpec) -> GaussianState:
 
 def impure_squeezed_inputs(squeezing_db, antisqueezing_db) -> GaussianState:
     """The :func:`tensor` of an :func:`impure_squeezed_vacuum` per level pair, in one step; levels go unchecked."""
-    n = len(squeezing_db)
-    factor = np.zeros((2 * n, 2 * n))
-    for k, (s, a) in enumerate(zip(squeezing_db, antisqueezing_db)):
-        factor[k, 2 * k] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (a / 10.0))
-        factor[n + k, 2 * k + 1] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (s / 10.0))
-    return GaussianState(cov_factor=factor)
+    return GaussianState(cov_factor=input_factors([squeezing_db], [antisqueezing_db])[0])
+
+
+def input_factors(squeezing_db, antisqueezing_db) -> np.ndarray:
+    """The (k, 2n, 2n) stacked factors of k product inputs; point i has the n levels of row i of each argument.
+
+    Mode j's x row holds sqrt(0.25 * 10^(a/10)) in column 2j and its p row
+    sqrt(0.25 * 10^(s/10)) in column 2j + 1.  Levels go unchecked.
+    """
+    n = len(squeezing_db[0])
+    factor = np.zeros((len(squeezing_db), 2 * n, 2 * n))
+    for i, levels in enumerate(zip(squeezing_db, antisqueezing_db)):
+        for j, (s, a) in enumerate(zip(*levels)):
+            factor[i, j, 2 * j] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (a / 10.0))
+            factor[i, n + j, 2 * j + 1] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (s / 10.0))
+    return factor
 
 
 def tensor(states: list[GaussianState]) -> GaussianState:
@@ -292,29 +308,39 @@ def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianStat
     """Propagate a state through a passive network: F -> S F."""
     if unitary.n_modes != state.n_modes:
         raise ValueError(f"unitary acts on {unitary.n_modes} modes but state has {state.n_modes}")
-    return GaussianState(cov_factor=unitary.symplectic @ state.cov_factor)
+    return GaussianState(cov_factor=network_factors(state.cov_factor[None], unitary)[0])
 
 
-def _mode_channels(state: GaussianState, modes, gains, noises) -> GaussianState:
-    """Scale each mode's factor rows by its gain and append its 2 x 2 noise factor (x and p rows).
+def network_factors(factor: np.ndarray, unitary: ComplexUnitary) -> np.ndarray:
+    """:func:`apply_unitary` on a (k, 2n, m) stack of factors: each F_i -> S F_i, one matrix product per point."""
+    return np.matmul(unitary.symplectic, factor)
 
-    A channel touches only its mode's rows, from which its noise is computed, and its own new
-    columns; so for distinct modes one pass equals the chained one-mode channels, bit for bit.
-    `modes` are checked 1-based indices.
+
+def _mode_channels(factor: np.ndarray, modes: tuple[int, ...], gains, noises) -> np.ndarray:
+    """Scale each mode's rows by its gain and append its 2 x 2 noise factor, on a (k, 2n, m) stack.
+
+    Point i scales the rows of mode modes[j] by gains[i][j] and appends two
+    columns holding the lower triangular noise factor noises[i][j] =
+    (a, b, c): (a, 0) in the mode's x row and (b, c) in its p row.  A
+    channel touches only its mode's rows, from which its noise is computed,
+    and its own new columns; so for distinct modes one pass equals the
+    chained one-mode channels, bit for bit.  `modes` are checked 1-based
+    indices.
     """
-    if not modes:
-        return state
-    rows, m = state.cov_factor.shape
+    k, rows, m = factor.shape
     n = rows // 2
-    scale = [1.0] * rows
-    factor = np.zeros((rows, m + 2 * len(modes)))
-    for col, mode, gain, (noise_x, noise_p) in zip(range(m, factor.shape[1], 2), modes, gains, noises):
-        ix, ip = mode - 1, n + mode - 1
-        scale[ix] = scale[ip] = gain
-        factor[ix, col:col + 2] = noise_x
-        factor[ip, col:col + 2] = noise_p
-    factor[:, :m] = np.array(scale)[:, None] * state.cov_factor
-    return GaussianState(cov_factor=factor)
+    out = np.zeros((k, rows, m + 2 * len(modes)))
+    scales = []
+    for i, (point_gains, point_noises) in enumerate(zip(gains, noises)):
+        scale = [1.0] * rows
+        for col, mode, gain, (a, b, c) in zip(range(m, out.shape[2], 2), modes, point_gains, point_noises):
+            scale[mode - 1] = scale[n + mode - 1] = gain
+            out[i, mode - 1, col] = a
+            out[i, n + mode - 1, col] = b
+            out[i, n + mode - 1, col + 1] = c
+        scales.append(scale)
+    np.multiply(np.array(scales)[:, :, None], factor, out=out[:, :, :m])
+    return out
 
 
 def lossy_channels(state: GaussianState, etas: dict[int, float]) -> GaussianState:
@@ -324,8 +350,19 @@ def lossy_channels(state: GaussianState, etas: dict[int, float]) -> GaussianStat
     for eta in etas.values():
         if not (0.0 <= eta <= 1.0):
             raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    vacua = [math.sqrt((1.0 - eta) * VACUUM_VARIANCE) for eta in etas.values()]
-    return _mode_channels(state, modes, [math.sqrt(eta) for eta in etas.values()], [((v, 0.0), (0.0, v)) for v in vacua])
+    if not modes:
+        return state
+    return GaussianState(cov_factor=loss_factors(state.cov_factor[None], tuple(modes), [list(etas.values())])[0])
+
+
+def loss_factors(factor: np.ndarray, modes: tuple[int, ...], etas) -> np.ndarray:
+    """:func:`lossy_channels` on a (k, 2n, m) stack: point i has transmissivity etas[i][j] on mode modes[j].
+
+    `modes` must be checked and nonempty; transmissivities go unchecked.
+    """
+    gains = [[math.sqrt(eta) for eta in row] for row in etas]
+    vacua = [[math.sqrt((1.0 - eta) * VACUUM_VARIANCE) for eta in row] for row in etas]
+    return _mode_channels(factor, modes, gains, [[(v, 0.0, v) for v in row] for row in vacua])
 
 
 def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -344,17 +381,21 @@ def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return lossy_channels(state, {mode: eta})
 
 
-def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float):
-    """Rows of the lower Cholesky factor of the noise N = E[D G D^T] a random rotation adds to one mode.
+@functools.lru_cache(maxsize=64)
+def _mode_rows(n: int, modes: tuple[int, ...]) -> np.ndarray:
+    """The (J, 2) indices of the x and p rows of each of `modes` (checked, 1-based) in a 2n-row factor, built once."""
+    return _read_only(np.array([(mode - 1, n + mode - 1) for mode in modes]))
+
+
+def _rotation_noise(gram, vcc: float, vss: float) -> tuple[float, float, float]:
+    """The lower Cholesky factor [[lxx, 0], [lpx, lpp]] of the noise N = E[D G D^T] a random rotation adds to one mode.
 
     R = cos theta I + sin theta J = E[R] + D, J = [[0, -1], [1, 0]], with
     D = dc I + ds J of centred moments vcc = E[dc^2], vss = E[ds^2] and
-    E[dc ds] = 0 (theta is symmetric about 0); G = F_m F_m^T is the mode's
-    covariance block: N = vcc G + vss J G J^T.
+    E[dc ds] = 0 (theta is symmetric about 0); `gram` = ((gxx, gxp), (gpx, gpp))
+    is G = F_m F_m^T, the mode's covariance block: N = vcc G + vss J G J^T.
     """
-    n = state.cov_factor.shape[0] // 2
-    rows = state.cov_factor[mode - 1::n]  # the mode's x and p rows
-    (gxx, gxp), (_, gpp) = (rows @ rows.T).tolist()
+    (gxx, gxp), (_, gpp) = gram
     nxx = vcc * gxx + vss * gpp
     npp = vcc * gpp + vss * gxx
     nxp = (vcc - vss) * gxp
@@ -362,7 +403,7 @@ def _rotation_noise(state: GaussianState, mode: int, vcc: float, vss: float):
     lxx = math.sqrt(max(nxx, 0.0))
     lpx = nxp / lxx if lxx > 0.0 else 0.0
     lpp = math.sqrt(max(npp - lpx * lpx, 0.0))
-    return (lxx, 0.0), (lpx, lpp)
+    return lxx, lpx, lpp
 
 
 def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianState:
@@ -372,10 +413,25 @@ def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianSta
     for sigma in sigmas.values():
         if not (sigma >= 0.0 and math.isfinite(sigma)):
             raise ValueError(f"jitter sigma must be finite and >= 0, got {sigma}")
-    s2 = {mode: sigma * sigma for mode, sigma in zip(modes, sigmas.values()) if sigma > 0.0}
-    noises = [_rotation_noise(state, mode, 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v))
-              for mode, v in s2.items()]
-    return _mode_channels(state, s2, [math.exp(-v / 2.0) for v in s2.values()], noises)
+    jittered = {mode: sigma for mode, sigma in zip(modes, sigmas.values()) if sigma > 0.0}
+    if not jittered:
+        return state
+    factor = jitter_factors(state.cov_factor[None], tuple(jittered), [list(jittered.values())])
+    return GaussianState(cov_factor=factor[0])
+
+
+def jitter_factors(factor: np.ndarray, modes: tuple[int, ...], sigmas) -> np.ndarray:
+    """:func:`phase_jitters` on a (k, 2n, m) stack: point i has sigma sigmas[i][j] > 0 on mode modes[j].
+
+    `modes` must be checked and nonempty; sigmas go unchecked.
+    """
+    block = factor.take(_mode_rows(factor.shape[1] // 2, modes), axis=1)  # (k, J, 2, m)
+    grams = (block @ block.swapaxes(2, 3)).tolist()
+    del block  # as large as the factor
+    variances = [[sigma * sigma for sigma in row] for row in sigmas]
+    noises = [[_rotation_noise(gram, 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v))
+               for gram, v in zip(point_grams, row)] for point_grams, row in zip(grams, variances)]
+    return _mode_channels(factor, modes, [[math.exp(-v / 2.0) for v in row] for row in variances], noises)
 
 
 def phase_jitter(state: GaussianState, mode: int, sigma: float) -> GaussianState:

@@ -32,12 +32,15 @@ from cvcluster.analysis import (
 from cvcluster.gaussian import (
     LEVEL_LIMIT_DB,
     ComplexUnitary,
+    GaussianState,
     apply_unitary,
     as_integer,
     impure_squeezed_inputs,
+    input_factors,
     is_real,
-    lossy_channels,
-    phase_jitters,
+    jitter_factors,
+    loss_factors,
+    network_factors,
     squeezing_db_to_r,
 )
 from cvcluster.networks import (
@@ -524,25 +527,71 @@ class ScenarioReport:
         return self.to_json() if self.config.output_format == "json" else self.to_text()
 
 
-def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
+# Most bytes of final factors one propagation pass stacks.  A 4-mode point with
+# loss and jitter on every mode takes 1.5 KiB, so a 200-point sweep is one
+# pass; a 64-mode one takes 384 KiB, and 10 000 of them stacked would take 3.9 GB.
+STACK_BYTES = 4 * 2**20
+
+
+def _layout(cfg: ScenarioConfig) -> tuple:
+    """A point's column layout: its loss placement, lossy modes (eta < 1) and jittered modes (sigma > 0)."""
+    return (
+        cfg.loss_placement,
+        tuple([mode for mode, eta in enumerate(cfg.loss, start=1) if eta < 1.0]),
+        tuple([mode for mode, sigma in enumerate(cfg.jitter, start=1) if sigma > 0.0]),
+    )
+
+
+def _stack(points, layout: tuple, unitary: ComplexUnitary) -> np.ndarray:
+    """The (k, 2n, m) final factors of `points`, which share `layout`: inputs, loss, network and jitter in one pass."""
+    placement, lossy, jittered = layout
+    factor = input_factors([p.squeezing_db for p in points], [p.antisqueezing_db for p in points])
+    if lossy and placement == "pre":
+        factor = loss_factors(factor, lossy, [[p.loss[mode - 1] for mode in lossy] for p in points])
+    factor = network_factors(factor, unitary)
+    if lossy and placement == "post":
+        factor = loss_factors(factor, lossy, [[p.loss[mode - 1] for mode in lossy] for p in points])
+    if jittered:
+        factor = jitter_factors(factor, jittered, [[p.jitter[mode - 1] for mode in jittered] for p in points])
+    return factor
+
+
+def _propagate(points, unitary: ComplexUnitary):
+    """Yield (index, final factor) for each config of `points`, pass by pass.
+
+    Points with the same layout (`_layout`) go through each stage together,
+    as one stack, at most STACK_BYTES of final factors at a time.  Groups
+    come in order of their first point, and points in grid order within a
+    group.  Each factor is bit for bit the one the chained state functions
+    give the point alone.
+    """
+    groups = {}
+    for i, cfg in enumerate(points):
+        groups.setdefault(_layout(cfg), []).append(i)
+    rows = 2 * unitary.n_modes
+    for layout, members in groups.items():
+        _, lossy, jittered = layout
+        per_pass = max(1, STACK_BYTES // (8 * rows * (rows + 2 * len(lossy) + 2 * len(jittered))))
+        for start in range(0, len(members), per_pass):
+            indices = members[start:start + per_pass]
+            yield from zip(indices, _stack([points[i] for i in indices], layout, unitary))
+
+
+def run_scenario(cfg: ScenarioConfig, _network=None, _factor=None) -> ScenarioReport:
     """Simulate one scenario: inputs, channels, network, and analysis.
 
     Loss is applied per mode before or after the network according to
     `loss_placement`; phase jitter always acts on the network outputs, in
-    closed form.  The run is deterministic.  `_network` is the (unitary,
-    graph) pair `_resolve_network` gives for `cfg`, passed by `run_sweep` so
-    that a sweep resolves its network once, not per point.
+    closed form.  The run is deterministic.  The state is propagated as a
+    stack of one point.  `run_sweep` passes `_network`, the (unitary, graph)
+    pair `_resolve_network` gives for `cfg`, so that a sweep resolves its
+    network once, and `_factor`, the point's final factor from the sweep's
+    stacked propagation, so that only the analysis runs per point.
     """
     unitary, graph = _resolve_network(cfg) if _network is None else _network
-    state = impure_squeezed_inputs(cfg.squeezing_db, cfg.antisqueezing_db)
-    losses = {mode: eta for mode, eta in enumerate(cfg.loss, start=1) if eta < 1.0}
-    if cfg.loss_placement == "pre":
-        state = lossy_channels(state, losses)
-    state = apply_unitary(state, unitary)
-    if cfg.loss_placement == "post":
-        state = lossy_channels(state, losses)
-    jitters = {mode: sigma for mode, sigma in enumerate(cfg.jitter, start=1) if sigma > 0.0}
-    state = phase_jitters(state, jitters)
+    if _factor is None:
+        _factor = _stack([cfg], _layout(cfg), unitary)[0]
+    state = GaussianState(cov_factor=_factor)
 
     nullifiers = None if graph is None else nullifier_report(state, graph, squeezing_r=cfg.squeezing_r)
     witness = full_inseparability_verdict(state, graph, nullifiers) if _wants_witness(cfg, graph) else None
@@ -558,10 +607,12 @@ def run_scenario(cfg: ScenarioConfig, _network=None) -> ScenarioReport:
 
 SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 
-# Largest accepted sweep `steps`.  Every grid point is one scenario run whose
-# report the sweep keeps, so the flag alone would otherwise set the time and
-# memory a run asks for: 10^13 steps failed to allocate the grid array itself.
-# 10 000 is 50x a 200-point sweep: 1.4-1.8 s with loss and jitter on four modes (one core, 2-vCPU host).
+# Largest accepted sweep `steps`.  The sweep keeps a report per grid point, so
+# the flag alone would otherwise set the time and memory a run asks for: 10^13
+# steps failed to allocate the grid array itself.  10 000 is 50x a 200-point
+# sweep: 0.9-1.0 s with loss and jitter on four modes (one core of a 2-vCPU
+# host), keeping 18 MiB of reports.  Propagation adds at most about three
+# times STACK_BYTES on top, however many points and modes the sweep has.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -612,7 +663,11 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     The axis value replaces the corresponding per-mode field on every mode.
     When sweeping `squeezing_db`, modes that were configured pure (dB levels
     mirrored) stay pure along the sweep; explicitly impure modes keep their
-    configured antisqueezing.  Rows are ordered by grid index.
+    configured antisqueezing.  Rows are ordered by grid index.  The points
+    are propagated together, in stacked passes of one column layout and at
+    most STACK_BYTES each; each point's report is then built by
+    `run_scenario` from its final factor, pass by pass, so the factors of at
+    most two passes are held at a time.
 
     Args:
         cfg: base configuration.
@@ -634,5 +689,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     if network[1] is None:
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
-    reports = tuple(run_scenario(cfg._sweep_point(axis, value), network) for value in values)
-    return SweepResult(axis=axis, values=values, reports=reports)
+    points = [cfg._sweep_point(axis, value) for value in values]
+    reports = [None] * steps
+    for i, factor in _propagate(points, network[0]):
+        reports[i] = run_scenario(points[i], network, factor)
+    return SweepResult(axis=axis, values=values, reports=tuple(reports))

@@ -446,6 +446,15 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="^cov_factor .*shape"):
             GaussianState(cov_factor=factor)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_rejected(self, bad):
+        factor = 0.5 * np.eye(4)
+        factor[3, 1] = bad
+        with pytest.raises(ValueError, match="^cov_factor must be finite"):
+            GaussianState(cov_factor=factor)
+        with pytest.raises(ValueError, match="^cov_factor must be finite"):
+            GaussianState(cov_factor=factor.tolist())
+
     def test_states_are_immutable(self):
         state = vacuum(1)
         with pytest.raises(ValueError):
