@@ -20,9 +20,10 @@ import numpy as np
 from cvcluster.gaussian import (
     GaussianState,
     VACUUM_VARIANCE,
-    apply_unitary,
     as_integer,
-    combination_variance,
+    combination_variance,  # noqa: F401  (the one-combination form, also importable from here)
+    combination_variances,
+    network_factors,
     variance_to_db,
 )
 from cvcluster.networks import linear_to_square_phases
@@ -44,6 +45,8 @@ WITNESS_PAIRS = {
     "linear4": ((1, 2), (3, 2), (3, 4)),
     "tshape4": ((2, 1), (3, 1), (4, 1)),
 }
+# The variance columns of the first nodes of the pairs, and of the second nodes.
+_PAIR_COLUMNS = {name: np.array(pairs).T - 1 for name, pairs in WITNESS_PAIRS.items()}
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,16 @@ class GraphSpec:
         return tuple(sorted(b for edge in self.edges for b in edge if a in edge and b != a))
 
     @cached_property
-    def nullifiers(self) -> tuple[tuple[np.ndarray, float], ...]:
-        """Per node, built once: its nullifier coefficients and vacuum-input reference (1 + |N(a)|)/4."""
-        return tuple((nullifier_coefficients(self, a), (1 + len(self.neighbors(a))) * VACUUM_VARIANCE)
-                     for a in range(1, self.n_nodes + 1))
+    def coefficients(self) -> np.ndarray:
+        """The read-only (n, 2n) nullifier coefficients, node a's in row a - 1, built once."""
+        c = np.array([nullifier_coefficients(self, a) for a in range(1, self.n_nodes + 1)])
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def references(self) -> tuple[float, ...]:
+        """Each node's vacuum-input nullifier variance (1 + |N(a)|)/4, in node order, built once."""
+        return tuple((1 + len(self.neighbors(a))) * VACUUM_VARIANCE for a in range(1, self.n_nodes + 1))
 
 
 @cache
@@ -111,7 +120,6 @@ def nullifier_coefficients(graph: GraphSpec, a: int) -> np.ndarray:
     c[n + a - 1] = 1.0
     for b in neighbors:
         c[b - 1] = -1.0
-    c.flags.writeable = False  # shared through GraphSpec.nullifiers
     return c
 
 
@@ -140,21 +148,20 @@ class NullifierReport:
     entries: tuple[NullifierEntry, ...]
 
     @classmethod
-    def for_graph(cls, graph: GraphSpec, variances, squeezing_r=None) -> NullifierReport:
+    def for_graph(cls, graph: GraphSpec, variances, analytic=None) -> NullifierReport:
         """The report of one variance per node of `graph`, in node order.
 
         The reference of node a is its vacuum-input variance (1 + |N(a)|)/4.
-        For the three built-in graphs, passing the input squeezing parameters
-        fills the closed-form expectation column; custom graphs ignore them.
+        `analytic`, the graph's :func:`analytic_column` for the inputs, fills
+        the closed-form expectation column; None leaves it empty.
         """
         if len(variances) != graph.n_nodes:
             raise ValueError(f"{len(variances)} variances for the {graph.n_nodes} nodes of graph {graph.name!r}")
-        analytic = [None] * graph.n_nodes
-        if squeezing_r is not None and graph.name in NAMED_GRAPH_EDGES:
-            analytic = analytic_residual_variances(graph.name, squeezing_r).tolist()
+        if analytic is None:
+            analytic = [None] * graph.n_nodes
         return cls(graph.name, tuple(
             NullifierEntry(a, var, ref, ideal)
-            for a, (var, (_, ref), ideal) in enumerate(zip(variances, graph.nullifiers, analytic), start=1)
+            for a, (var, ref, ideal) in enumerate(zip(variances, graph.references, analytic), start=1)
         ))
 
     @property
@@ -173,16 +180,38 @@ def nullifier_report(
 ) -> NullifierReport:
     """Evaluate every node's nullifier variance on a state.
 
+    The k = 1 call of :func:`nullifier_variances`.
+
     Args:
         state: the candidate cluster state.
         graph: graph defining the nullifier of each node.
         squeezing_r: optional input squeezing parameters (r_1 .. r_4) used
             for the analytic column; ignored for custom graphs.
     """
-    if state.n_modes != graph.n_nodes:
-        raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
-    variances = [combination_variance(state, coeffs) for coeffs, _ in graph.nullifiers]
-    return NullifierReport.for_graph(graph, variances, squeezing_r)
+    variances = nullifier_variances(state.cov_factor[None], graph)[0].tolist()
+    return NullifierReport.for_graph(graph, variances, analytic_column(graph, squeezing_r))
+
+
+def _check_modes(factor: np.ndarray, graph: GraphSpec):
+    if factor.shape[1] != 2 * graph.n_nodes:
+        raise ValueError(f"state has {factor.shape[1] // 2} modes but graph has {graph.n_nodes} nodes")
+
+
+def nullifier_variances(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:
+    """Every node's nullifier variance on each factor of a (k, 2n, m) stack: (k, n), node a in column a - 1."""
+    _check_modes(factor, graph)
+    return combination_variances(factor, graph.coefficients)
+
+
+def analytic_column(graph: GraphSpec, squeezing_r):
+    """:func:`analytic_residual_variances` of a built-in graph as lists, a row per point of (k, 4) `squeezing_r`.
+
+    A (4,) `squeezing_r` gives one row, unnested.  None for a custom graph
+    or when `squeezing_r` is None.
+    """
+    if squeezing_r is None or graph.name not in NAMED_GRAPH_EDGES:
+        return None
+    return analytic_residual_variances(graph.name, squeezing_r).tolist()
 
 
 def analytic_residual_variances(kind: str, r) -> np.ndarray:
@@ -199,27 +228,26 @@ def analytic_residual_variances(kind: str, r) -> np.ndarray:
 
     Args:
         kind: "linear4", "square4" or "tshape4" (the "4" suffix is optional).
-        r: the four input squeezing parameters.
+        r: the four input squeezing parameters, or a (k, 4) array of them,
+            which gives the (k, 4) variances of each row.
     """
     e = np.exp(-2.0 * np.asarray(r, dtype=float)) * VACUUM_VARIANCE
-    if e.shape != (4,):
+    if e.ndim not in (1, 2) or e.shape[-1] != 4:
         raise ValueError(f"expected 4 squeezing parameters, got shape {e.shape}")
+    e1, e2, e3, e4 = e.T
     name = kind if kind.endswith("4") else kind + "4"
     if name == "linear4":
-        return np.array([
-            2.0 * e[0],
-            2.5 * e[2] + 0.5 * e[3],
-            0.5 * e[0] + 2.5 * e[1],
-            2.0 * e[3],
-        ])
-    if name == "square4":
-        side_a = 0.5 * e[0] + 2.5 * e[1]
-        side_b = 2.5 * e[2] + 0.5 * e[3]
-        return np.array([side_a, side_a, side_b, side_b])
-    if name == "tshape4":
-        arm = 0.5 * e[0] + e[2] + 0.5 * e[3]
-        return np.array([4.0 * e[1], 2.0 * e[0], arm, arm])
-    raise ValueError(f"unknown network kind {kind!r}")
+        columns = [2.0 * e1, 2.5 * e3 + 0.5 * e4, 0.5 * e1 + 2.5 * e2, 2.0 * e4]
+    elif name == "square4":
+        side_a = 0.5 * e1 + 2.5 * e2
+        side_b = 2.5 * e3 + 0.5 * e4
+        columns = [side_a, side_a, side_b, side_b]
+    elif name == "tshape4":
+        arm = 0.5 * e1 + e3 + 0.5 * e4
+        columns = [4.0 * e2, 2.0 * e1, arm, arm]
+    else:
+        raise ValueError(f"unknown network kind {kind!r}")
+    return np.array(columns).T
 
 
 @dataclass(frozen=True)
@@ -282,23 +310,36 @@ def _square_to_linear_phases():
     return linear_to_square_phases().adjoint()
 
 
-def full_inseparability_verdict(state: GaussianState, graph: GraphSpec, nullifiers=None) -> WitnessReport:
-    """Nullifier variances plus witness inequalities in one call.
+def witness_sums(factor: np.ndarray, graph: GraphSpec, variances=None) -> np.ndarray:
+    """The witness inequality sums on each factor of a (k, 2n, m) stack: (k, 3), in `WITNESS_PAIRS` order.
 
     Supported graphs are linear4 and tshape4; square4 is handled by undoing
-    the local phases and testing the locally equivalent linear state, which
-    the report marks via `delegated_to`.  Custom graphs have no defined
-    pairing and raise :class:`UnsupportedGraphError`.  `nullifiers`, the
-    state's :func:`nullifier_report` on `graph`, saves computing the
-    variances again; square4 tests other combinations and does not read it.
+    the local phases on the whole stack and summing the linear4 pairs of the
+    locally equivalent linear states.  Custom graphs have no defined pairing
+    and raise :class:`UnsupportedGraphError`.  `variances`, the stack's
+    :func:`nullifier_variances` on `graph`, saves computing them again;
+    square4 tests other combinations and does not read it.
     """
-    if state.n_modes != graph.n_nodes:
-        raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
+    _check_modes(factor, graph)
     if graph.name == "square4":
-        nullifiers = nullifier_report(apply_unitary(state, _square_to_linear_phases()), linear4())
+        tested = "linear4"
+        variances = nullifier_variances(network_factors(factor, _square_to_linear_phases()), linear4())
     elif graph.name not in WITNESS_PAIRS:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-    elif nullifiers is None:
-        nullifiers = nullifier_report(state, graph)
-    v = nullifiers.variances
-    return WitnessReport.for_graph(graph, [v[a - 1] + v[b - 1] for a, b in WITNESS_PAIRS[nullifiers.graph_name]])
+    else:
+        tested = graph.name
+        if variances is None:
+            variances = nullifier_variances(factor, graph)
+    first, second = _PAIR_COLUMNS[tested]
+    return variances[:, first] + variances[:, second]
+
+
+def full_inseparability_verdict(state: GaussianState, graph: GraphSpec, nullifiers=None) -> WitnessReport:
+    """Nullifier variances plus witness inequalities in one call: the k = 1 call of :func:`witness_sums`.
+
+    The square4 report marks the delegation to linear4 via `delegated_to`.
+    `nullifiers`, the state's :func:`nullifier_report` on `graph`, saves
+    computing the variances again; square4 does not read it.
+    """
+    variances = None if nullifiers is None else np.array([nullifiers.variances])
+    return WitnessReport.for_graph(graph, witness_sums(state.cov_factor[None], graph, variances)[0].tolist())

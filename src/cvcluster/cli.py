@@ -69,13 +69,10 @@ def _add_scenario_options(parser: argparse.ArgumentParser):
     parser.add_argument("--loss-placement", dest="loss_placement", choices=("pre", "post"),
                         help="apply loss before or after the network (default post)")
     parser.add_argument("--jitter", metavar="SIGMA[,SIGMA...]", help="per-mode phase jitter sigma in radians")
-    parser.add_argument("--format", dest="output_format", choices=("text", "json"), help="report format")
     parser.add_argument("--witness", action=argparse.BooleanOptionalAction, default=None,
                         help="force the witness evaluation on or off")
     parser.add_argument("--graph-edges", dest="graph_edges", metavar="A-B[,A-B...]",
                         help="cluster graph for a netlist network, e.g. '1-2,2-3,3-4'")
-    parser.add_argument("--verify-decompositions", dest="verify_decompositions", action="store_true",
-                        default=None, help="append the decomposition checks to the report")
 
 
 def _scenario_config(args) -> ScenarioConfig:
@@ -87,7 +84,7 @@ def _scenario_config(args) -> ScenarioConfig:
         if value is not None:
             data[field] = _parse_values(field, value)
     for field in ("loss_placement", "output_format", "witness", "verify_decompositions"):
-        if getattr(args, field) is not None:
+        if getattr(args, field, None) is not None:  # sweep has no report format or decomposition checks
             data[field] = getattr(args, field)
     if args.graph_edges is not None:
         data["graph_edges"] = _parse_edges(args.graph_edges)
@@ -103,6 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one scenario and print the report")
     _add_scenario_options(p_sim)
+    p_sim.add_argument("--format", dest="output_format", choices=("text", "json"), help="report format")
+    p_sim.add_argument("--verify-decompositions", dest="verify_decompositions", action="store_true",
+                       default=None, help="append the decomposition checks to the report")
 
     p_sweep = sub.add_parser("sweep", help="vary one config scalar over a grid and print CSV")
     _add_scenario_options(p_sweep)

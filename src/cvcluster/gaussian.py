@@ -14,7 +14,8 @@ calls, and a sweep sends all its points through each kernel at once.
 Channel-built states are physical and are checked only for shape and
 finiteness; a caller-supplied covariance is checked physically, once, and
 factored.  Combination variances are sums of squares ||F^T c||^2, accurate
-even when huge antisqueezed variances cancel.
+even when huge antisqueezed variances cancel, for a whole stack at once
+(`combination_variances`).
 
 All objects are immutable after construction and every operation returns a new
 value, so everything here is safe to use from concurrent workers.
@@ -460,8 +461,20 @@ def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (2 * state.n_modes,):
         raise ValueError(f"coefficient vector has length {c.size}, expected {2 * state.n_modes}")
-    w = state.cov_factor.T @ c
-    return float(w @ w)
+    return float(combination_variances(state.cov_factor[None], c[None])[0, 0])
+
+
+def combination_variances(factor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """:func:`combination_variance` of each row c_j of a (J, 2n) `coeffs` on a (k, 2n, m) stack: (k, J) variances.
+
+    w = c_j^T F_i is one vector-matrix product per point and row, and its
+    square sum w . w one dot; both round as the k = 1 call does.  One matrix
+    product C F_i per point would be faster, but it sums the terms of a
+    combination in another order, and rounds differently once a combination
+    has more than a few terms (dense graphs from 8 modes up).
+    """
+    w = np.matmul(coeffs[None, :, None, :], factor[:, None])[..., 0, :]  # (k, J, m)
+    return np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
 
 
 def variance_to_db(v: float, v_ref: float) -> float:

@@ -24,15 +24,15 @@ from cvcluster.analysis import (
     NullifierReport,
     UnsupportedGraphError,
     WitnessReport,
-    full_inseparability_verdict,
+    analytic_column,
     graph_by_name,
     NAMED_GRAPH_EDGES,
-    nullifier_report,
+    nullifier_variances,
+    witness_sums,
 )
 from cvcluster.gaussian import (
     LEVEL_LIMIT_DB,
     ComplexUnitary,
-    GaussianState,
     apply_unitary,
     as_integer,
     impure_squeezed_inputs,
@@ -476,8 +476,9 @@ class ScenarioReport:
         graph = _cluster_graph(cfg)
         nullifiers = witness = decompositions = None
         if graph is not None:
+            analytic = analytic_column(graph, cfg.squeezing_r)
             nullifiers = _read_section(data, "nullifiers", "nodes", "variance",
-                                       lambda variances: NullifierReport.for_graph(graph, variances, cfg.squeezing_r))
+                                       lambda variances: NullifierReport.for_graph(graph, variances, analytic))
         if _wants_witness(cfg, graph):
             witness = _read_section(data, "witness", "inequalities", "lhs",
                                     functools.partial(WitnessReport.for_graph, graph))
@@ -557,7 +558,7 @@ def _stack(points, layout: tuple, unitary: ComplexUnitary) -> np.ndarray:
 
 
 def _propagate(points, unitary: ComplexUnitary):
-    """Yield (index, final factor) for each config of `points`, pass by pass.
+    """Yield (indices, stack) pass by pass: the (k, 2n, m) final factors of the configs of `points` at `indices`.
 
     Points with the same layout (`_layout`) go through each stage together,
     as one stack, at most STACK_BYTES of final factors at a time.  Groups
@@ -574,28 +575,43 @@ def _propagate(points, unitary: ComplexUnitary):
         per_pass = max(1, STACK_BYTES // (8 * rows * (rows + 2 * len(lossy) + 2 * len(jittered))))
         for start in range(0, len(members), per_pass):
             indices = members[start:start + per_pass]
-            yield from zip(indices, _stack([points[i] for i in indices], layout, unitary))
+            yield indices, _stack([points[i] for i in indices], layout, unitary)
 
 
-def run_scenario(cfg: ScenarioConfig, _network=None, _factor=None) -> ScenarioReport:
+def _measure(points, stack: np.ndarray, graph: GraphSpec | None, witness: bool) -> list[tuple]:
+    """Each config's measurement from the (k, 2n, m) stack of their final factors, one kernel call per quantity.
+
+    A point's row is (nullifier variances, witness sums, analytic column),
+    lists or None: None without a graph, without the witness, or on a
+    custom graph.  The stack must be finite, as a state's factor must.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("cov_factor must be finite")
+    if graph is None:
+        return [(None, None, None)] * len(points)
+    variances = nullifier_variances(stack, graph)
+    lhs = witness_sums(stack, graph, variances).tolist() if witness else [None] * len(points)
+    analytic = analytic_column(graph, [p.squeezing_r for p in points]) or [None] * len(points)
+    return list(zip(variances.tolist(), lhs, analytic))
+
+
+def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> ScenarioReport:
     """Simulate one scenario: inputs, channels, network, and analysis.
 
     Loss is applied per mode before or after the network according to
     `loss_placement`; phase jitter always acts on the network outputs, in
-    closed form.  The run is deterministic.  The state is propagated as a
-    stack of one point.  `run_sweep` passes `_network`, the (unitary, graph)
-    pair `_resolve_network` gives for `cfg`, so that a sweep resolves its
-    network once, and `_factor`, the point's final factor from the sweep's
-    stacked propagation, so that only the analysis runs per point.
+    closed form.  The run is deterministic.  The state is propagated and
+    measured as a stack of one point.  `run_sweep` passes `_network`, the
+    (unitary, graph) pair `_resolve_network` gives for `cfg`, so that a
+    sweep resolves its network once, and `_measured`, the point's row of its
+    pass's `_measure`, so that only the report is built per point.
     """
     unitary, graph = _resolve_network(cfg) if _network is None else _network
-    if _factor is None:
-        _factor = _stack([cfg], _layout(cfg), unitary)[0]
-    state = GaussianState(cov_factor=_factor)
-
-    nullifiers = None if graph is None else nullifier_report(state, graph, squeezing_r=cfg.squeezing_r)
-    witness = full_inseparability_verdict(state, graph, nullifiers) if _wants_witness(cfg, graph) else None
-
+    if _measured is None:
+        _measured = _measure([cfg], _stack([cfg], _layout(cfg), unitary), graph, _wants_witness(cfg, graph))[0]
+    variances, lhs, analytic = _measured
+    nullifiers = None if variances is None else NullifierReport.for_graph(graph, variances, analytic)
+    witness = None if lhs is None else WitnessReport.for_graph(graph, lhs)
     decompositions = verify_decompositions() if cfg.verify_decompositions else None
     return ScenarioReport(
         config=cfg,
@@ -610,9 +626,9 @@ SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 # Largest accepted sweep `steps`.  The sweep keeps a report per grid point, so
 # the flag alone would otherwise set the time and memory a run asks for: 10^13
 # steps failed to allocate the grid array itself.  10 000 is 50x a 200-point
-# sweep: 0.9-1.0 s with loss and jitter on four modes (one core of a 2-vCPU
-# host), keeping 18 MiB of reports.  Propagation adds at most about three
-# times STACK_BYTES on top, however many points and modes the sweep has.
+# sweep: 0.6-0.9 s with loss and jitter on four modes (one core of a 2-vCPU
+# host), keeping 18 MiB of reports.  Propagation and measurement add about
+# twice STACK_BYTES on top, however many points and modes the sweep has.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -664,10 +680,11 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     When sweeping `squeezing_db`, modes that were configured pure (dB levels
     mirrored) stay pure along the sweep; explicitly impure modes keep their
     configured antisqueezing.  Rows are ordered by grid index.  The points
-    are propagated together, in stacked passes of one column layout and at
-    most STACK_BYTES each; each point's report is then built by
-    `run_scenario` from its final factor, pass by pass, so the factors of at
-    most two passes are held at a time.
+    are propagated and measured together, in stacked passes of one column
+    layout and at most STACK_BYTES each; no point builds a state.  A pass's
+    factors are dropped once measured, before the next pass is propagated,
+    and each point's report is built by `run_scenario` from its row of the
+    pass's measurements.
 
     Args:
         cfg: base configuration.
@@ -685,12 +702,16 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         raise ConfigError("steps", f"{steps} grid points exceed the cap of {MAX_SWEEP_STEPS}")
     if not math.isfinite(stop - start):
         raise ConfigError("start", f"sweep bounds must be finite with a finite span, got {start!r} to {stop!r}")
-    network = _resolve_network(cfg)
-    if network[1] is None:
+    unitary, graph = network = _resolve_network(cfg)
+    if graph is None:
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
+    witness = _wants_witness(cfg, graph)
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
     points = [cfg._sweep_point(axis, value) for value in values]
     reports = [None] * steps
-    for i, factor in _propagate(points, network[0]):
-        reports[i] = run_scenario(points[i], network, factor)
+    for indices, stack in _propagate(points, unitary):
+        rows = _measure([points[i] for i in indices], stack, graph, witness)
+        del stack  # before the next pass is propagated
+        for i, row in zip(indices, rows):
+            reports[i] = run_scenario(points[i], network, row)
     return SweepResult(axis=axis, values=values, reports=tuple(reports))

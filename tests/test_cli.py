@@ -191,6 +191,14 @@ class TestSweep:
         assert code == EXIT_CONFIG
         assert "axis" in err
 
+    # a sweep prints CSV and runs no decomposition checks, so it takes neither report option
+    @pytest.mark.parametrize("option", [["--format", "json"], ["--verify-decompositions"]])
+    def test_report_options_are_usage_errors(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--network", "linear4", *option, "--axis", "loss", "--from", "1", "--to", "0.5", "--steps", "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
 
 class TestVerifyDecompositions:
     def test_text(self, capsys):

@@ -1,7 +1,8 @@
-"""Stacked propagation: a sweep sends all its grid points through each stage at once.
+"""Stacked propagation and measurement: a sweep sends all its grid points through each stage at once.
 
-The stacked factors must equal, bit for bit, what the chained state
-functions give each point alone; points are stacked only with points of the
+The stacked factors, and the variances, witness sums and analytic column
+measured on them, must equal, bit for bit, what the state functions and the
+analysis give each point alone; points are stacked only with points of the
 same column layout, and a pass holds at most `STACK_BYTES` of final factors.
 """
 
@@ -14,7 +15,15 @@ import numpy as np
 import pytest
 
 from cvcluster import scenarios
-from cvcluster.gaussian import apply_unitary, impure_squeezed_inputs, lossy_channels, phase_jitters
+from cvcluster.analysis import (
+    NAMED_GRAPH_EDGES,
+    analytic_residual_variances,
+    full_inseparability_verdict,
+    nullifier_report,
+    nullifier_variances,
+    witness_sums,
+)
+from cvcluster.gaussian import GaussianState, apply_unitary, impure_squeezed_inputs, lossy_channels, phase_jitters
 from cvcluster.networks import emit_netlist, linear_program
 from cvcluster.scenarios import SWEEP_AXES, STACK_BYTES, ScenarioConfig, load_config, run_scenario, run_sweep
 
@@ -30,6 +39,21 @@ SIGMA = st.just(0.0) | st.floats(0.0, 0.5)
 def linear_netlist(tmp_path_factory):
     path = tmp_path_factory.mktemp("netlist") / "linear.net"
     path.write_text(emit_netlist(linear_program()))
+    return str(path)
+
+
+WIDE_MODES = 8
+WIDE_PAIRS = [(a, b) for a in range(1, WIDE_MODES + 1) for b in range(a + 1, WIDE_MODES + 1)]
+
+
+@pytest.fixture(scope="module")
+def wide_netlist(tmp_path_factory):
+    """An 8-mode netlist that couples every mode: beam splitters between neighbours and next neighbours."""
+    n = WIDE_MODES
+    lines = [f"MODES {n}", *(f"BS+ {a} {a + 1} 0.6" for a in range(1, n)), *(f"F {a}" for a in range(1, n + 1)),
+             *(f"BS- {a} {a + 2} 0.3" for a in range(1, n - 1))]
+    path = tmp_path_factory.mktemp("netlist") / "wide.net"
+    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -82,7 +106,7 @@ def test_stacked_factors_equal_the_chained_state_functions(data, linear_netlist)
     points = [cfg._sweep_point(axis, float(v)) for v in np.linspace(start, stop, steps)]
     network = scenarios._resolve_network(cfg)
     with mock.patch.object(scenarios, "STACK_BYTES", budget):
-        factors = dict(scenarios._propagate(points, network[0]))
+        factors = {i: f for indices, stack in scenarios._propagate(points, network[0]) for i, f in zip(indices, stack)}
         result = run_sweep(cfg, axis, start, stop, steps)
     assert sorted(factors) == list(range(steps))
     for i, point in enumerate(points):
@@ -123,5 +147,64 @@ def test_a_pass_holds_at_most_the_byte_budget(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(result.reports) == steps
-    # a pass holds its stage's input and output stacks, and the last factor of the pass before it
-    assert peak < 4 * STACK_BYTES, peak
+    # a pass holds its stage's input and output stacks; the pass before it was dropped once measured
+    assert peak < 2.25 * STACK_BYTES, peak
+
+
+@st.composite
+def measured_sweeps(draw, netlist):
+    """A base config on a built-in network or the 8-mode netlist, with the witness on, off or by default, and a sweep."""
+    network = draw(st.sampled_from(["linear4", "square4", "tshape4", netlist]))
+    wide = network == netlist
+    n = WIDE_MODES if wide else 4
+    squeezing = draw(st.lists(st.floats(-40.0, 0.0), min_size=n, max_size=n))
+    cfg = ScenarioConfig(
+        network,
+        squeezing_db=squeezing,
+        antisqueezing_db=[e - s for s, e in zip(squeezing, draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))],
+        loss=draw(st.lists(ETA, min_size=n, max_size=n)),
+        loss_placement=draw(st.sampled_from(["pre", "post"])),
+        jitter=draw(st.lists(SIGMA, min_size=n, max_size=n)),
+        # a custom graph has no witness pairing; the complete graph gives every nullifier 8 terms
+        witness=draw(st.sampled_from([None, False] if wide else [None, True, False])),
+        graph_edges=draw(st.just(WIDE_PAIRS) | st.lists(st.sampled_from(WIDE_PAIRS), min_size=1, unique=True))
+        if wide else None,
+    )
+    axis = draw(st.sampled_from(["loss", "jitter"]))
+    value = ETA if axis == "loss" else SIGMA
+    return cfg, axis, draw(value), draw(value), draw(st.integers(1, 40))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_pass_measures_each_point_as_the_analysis_does_alone(data, wide_netlist):
+    cfg, axis, start, stop, steps = data.draw(measured_sweeps(wide_netlist))
+    budget = data.draw(st.sampled_from([STACK_BYTES, 1, 3 * 8 * 16 * 48]), label="budget")
+    points = [cfg._sweep_point(axis, float(v)) for v in np.linspace(start, stop, steps)]
+    unitary, graph = scenarios._resolve_network(cfg)
+    witness = scenarios._wants_witness(cfg, graph)
+    with mock.patch.object(scenarios, "STACK_BYTES", budget):
+        passes = list(scenarios._propagate(points, unitary))
+    assert sorted(i for indices, _ in passes for i in indices) == list(range(steps))
+    for indices, stack in passes:
+        members = [points[i] for i in indices]
+        variances = nullifier_variances(stack, graph)
+        lhs = witness_sums(stack, graph, variances) if witness else None
+        built_in = graph.name in NAMED_GRAPH_EDGES
+        analytic = analytic_residual_variances(graph.name, [p.squeezing_r for p in members]) if built_in else None
+        rows = scenarios._measure(members, stack, graph, witness)
+        for j, (point, factor) in enumerate(zip(members, stack)):
+            state = GaussianState(cov_factor=factor)
+            alone = nullifier_report(state, graph, point.squeezing_r)
+            assert variances[j].tolist() == list(alone.variances)
+            # the sum of squares of F^T c, one combination at a time, as the analysis has always evaluated it
+            assert variances[j].tolist() == [float((factor.T @ c) @ (factor.T @ c)) for c in graph.coefficients]
+            if witness:
+                assert lhs[j].tolist() == list(full_inseparability_verdict(state, graph).lhs_values)
+            if built_in:
+                assert analytic[j].tolist() == analytic_residual_variances(graph.name, point.squeezing_r).tolist()
+                assert analytic[j].tolist() == [e.analytic_variance for e in alone.entries]
+            expected = (variances[j].tolist(), None if lhs is None else lhs[j].tolist(),
+                        None if analytic is None else analytic[j].tolist())
+            assert rows[j] == expected
