@@ -123,7 +123,13 @@ def main(argv=None) -> int:
             report = run_scenario(_scenario_config(args))
             sys.stdout.write(report.render())
         elif args.command == "sweep":
-            result = run_sweep(_scenario_config(args), args.axis, args.start, args.stop, args.steps)
+            cfg = _scenario_config(args)
+            # the flags are usage errors; a config file's report fields would be ignored just the same
+            if cfg.output_format != "text":
+                raise ConfigError("output_format", f"sweep prints CSV; {cfg.output_format!r} applies to simulate only")
+            if cfg.verify_decompositions:
+                raise ConfigError("verify_decompositions", "sweep runs no decomposition checks; use simulate")
+            result = run_sweep(cfg, args.axis, args.start, args.stop, args.steps)
             sys.stdout.write(result.to_csv())
         else:
             report = verify_decompositions()

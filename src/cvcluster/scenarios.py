@@ -626,9 +626,10 @@ SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 # Largest accepted sweep `steps`.  The sweep keeps a report per grid point, so
 # the flag alone would otherwise set the time and memory a run asks for: 10^13
 # steps failed to allocate the grid array itself.  10 000 is 50x a 200-point
-# sweep: 0.6-0.9 s with loss and jitter on four modes (one core of a 2-vCPU
-# host), keeping 18 MiB of reports.  Propagation and measurement add about
-# twice STACK_BYTES on top, however many points and modes the sweep has.
+# sweep: 0.4-0.5 s for a loss sweep of `measured_gap`, loss and jitter on four
+# modes (one core of a 2-vCPU host), keeping 18 MiB of reports.  Propagation
+# and measurement add about twice STACK_BYTES on top, however many points and
+# modes the sweep has.
 MAX_SWEEP_STEPS = 10_000
 
 

@@ -199,6 +199,16 @@ class TestSweep:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
+    # the same two fields from a config file, which a sweep would otherwise ignore
+    @pytest.mark.parametrize("field, value", [("output_format", "json"), ("verify_decompositions", True)])
+    def test_report_fields_of_a_config_file_are_config_errors(self, capsys, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads(MEASURED_GAP.read_text()), field: value}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--axis", "loss", "--from", "1", "--to", "0.5",
+                                 "--steps", "3")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"config error: {field}: ")
+
 
 class TestVerifyDecompositions:
     def test_text(self, capsys):

@@ -76,6 +76,11 @@ CASES = {
         "--antisqueezing-db=5.5,11.9,5.8,11.2", "--loss", "0.93", "--jitter", "0.04",
         "--axis", "squeezing_db", "--from", "-11", "--to", "0", "--steps", "23",
     ],
+    "linear4_edge_jitter_sweep.csv": [
+        # a deep mode, eta 0 and 1 - 1e-9, and sigma up to 3: the channel kernels' edges, on a stacked pass
+        "sweep", "--network", "linear4", "--squeezing-db=-5.5,-30,-5.8,-6.0", "--antisqueezing-db=9.1,33,10.5,11.2",
+        "--loss=0.9,0,0.95,0.999999999", "--axis", "jitter", "--from", "0", "--to", "3", "--steps", "31",
+    ],
     "linear4_netlist_sweep.csv": [
         "sweep", "--network", str(LINEAR_NETLIST), "--graph-edges", "1-2,2-3,3-4", *IMPERFECT,
         "--loss=0.95,1,0.9,0.85", "--jitter=0.02,0,0.05,0.01",

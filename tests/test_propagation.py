@@ -23,7 +23,16 @@ from cvcluster.analysis import (
     nullifier_variances,
     witness_sums,
 )
-from cvcluster.gaussian import GaussianState, apply_unitary, impure_squeezed_inputs, lossy_channels, phase_jitters
+from cvcluster.gaussian import (
+    ARRAY_FORM_MIN_POINTS,
+    LEVEL_LIMIT_DB,
+    GaussianState,
+    apply_unitary,
+    impure_squeezed_inputs,
+    jitter_factors,
+    lossy_channels,
+    phase_jitters,
+)
 from cvcluster.networks import emit_netlist, linear_program
 from cvcluster.scenarios import SWEEP_AXES, STACK_BYTES, ScenarioConfig, load_config, run_scenario, run_sweep
 
@@ -33,6 +42,10 @@ LINEAR_EDGES = ((1, 2), (2, 3), (3, 4))
 # transmissivities and sigmas, with the ends that change a point's column layout
 ETA = st.just(1.0) | st.floats(0.0, 1.0)
 SIGMA = st.just(0.0) | st.floats(0.0, 0.5)
+# the same, with the edges where the channels cancel: all loss, loss of 1e-9, sigma 1e-8, sigma whose square
+# underflows to 0 (a zero noise factor) and large sigma
+EDGE_ETA = ETA | st.sampled_from([0.0, 1.0 - 1e-9])
+EDGE_SIGMA = SIGMA | st.sampled_from([1e-8, 1e-200]) | st.floats(0.0, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -71,29 +84,35 @@ def chained(point: ScenarioConfig, unitary) -> np.ndarray:
 
 @st.composite
 def sweeps(draw, netlist):
-    """An accepted base config, and a sweep of up to 40 accepted points along one axis."""
+    """An accepted base config with levels down to -LEVEL_LIMIT_DB, and a sweep of up to 40 points along one axis.
+
+    Grids longer than ARRAY_FORM_MIN_POINTS take the kernels' array form, and
+    shorter ones, or a pass of one point, their scalar form.
+    """
     network = draw(st.sampled_from(["linear4", "square4", "tshape4", netlist]))
-    squeezing = draw(st.lists(st.floats(-12.0, 0.0), min_size=4, max_size=4))
+    level = st.floats(-12.0, 0.0) | st.floats(-LEVEL_LIMIT_DB, 0.0) | st.just(-LEVEL_LIMIT_DB)
+    squeezing = draw(st.lists(level, min_size=4, max_size=4))
     excess = draw(st.lists(st.none() | st.floats(0.0, 10.0), min_size=4, max_size=4))
-    antisqueezing = [0.0 - s if e is None else e - s for s, e in zip(squeezing, excess)]
+    antisqueezing = [0.0 - s if e is None else min(e - s, LEVEL_LIMIT_DB) for s, e in zip(squeezing, excess)]
     cfg = ScenarioConfig(
         network,
         squeezing_db=squeezing,
         antisqueezing_db=antisqueezing,
-        loss=draw(st.lists(ETA, min_size=4, max_size=4)),
+        loss=draw(st.lists(EDGE_ETA, min_size=4, max_size=4)),
         loss_placement=draw(st.sampled_from(["pre", "post"])),
-        jitter=draw(st.lists(SIGMA, min_size=4, max_size=4)),
+        jitter=draw(st.lists(EDGE_SIGMA, min_size=4, max_size=4)),
         graph_edges=LINEAR_EDGES if network == netlist else None,
     )
     axis = draw(st.sampled_from(SWEEP_AXES))
     impure = [a for s, a in zip(squeezing, antisqueezing) if a != -s]
+    lowest = max(-s for s in squeezing)
     value = {
-        "loss": ETA,
-        "jitter": SIGMA,
-        "squeezing_db": st.floats(max([-12.0] + [-a for a in impure]), 0.0),
-        "antisqueezing_db": st.floats(max(-s for s in squeezing), 20.0),
+        "loss": EDGE_ETA,
+        "jitter": EDGE_SIGMA,
+        "squeezing_db": st.floats(max([-LEVEL_LIMIT_DB] + [-a for a in impure]), 0.0),
+        "antisqueezing_db": st.floats(lowest, max(lowest, 20.0)) | st.floats(lowest, LEVEL_LIMIT_DB),
     }[axis]
-    return cfg, axis, draw(value), draw(value), draw(st.integers(1, 40))
+    return cfg, axis, draw(value), draw(value), draw(st.integers(1, max(40, 4 * ARRAY_FORM_MIN_POINTS)))
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -110,8 +129,28 @@ def test_stacked_factors_equal_the_chained_state_functions(data, linear_netlist)
         result = run_sweep(cfg, axis, start, stop, steps)
     assert sorted(factors) == list(range(steps))
     for i, point in enumerate(points):
-        assert np.array_equal(factors[i], chained(point, network[0])), i
+        alone = chained(point, network[0])  # the scalar forms: each state function is a stack of one
+        assert factors[i].shape == alone.shape and factors[i].tobytes() == alone.tobytes(), i
     assert [r.to_json() for r in result.reports] == [run_scenario(point).to_json() for point in points]
+
+
+def test_the_jitter_array_form_clips_as_the_scalar_form():
+    # the built-in networks leave each output mode's x and p uncorrelated, and the noise Cholesky then has
+    # nothing to clip; a rotated deep-squeezed mode makes it clip, its noise being singular to rounding
+    k = 64
+    stack = np.zeros((k, 4, 4))
+    for i, phi in enumerate(np.linspace(0.0, np.pi, k)):
+        for mode, level in ((0, LEVEL_LIMIT_DB), (1, 30.0)):
+            rotation = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            amplitudes = np.sqrt(0.25 * 10.0 ** (np.array([level, -level]) / 10.0))
+            stack[i][np.ix_([mode, 2 + mode], [2 * mode, 2 * mode + 1])] = rotation * amplitudes
+    sigmas = {1: 1e-8, 2: 3.0}
+    stacked = jitter_factors(stack, (1, 2), [list(sigmas.values())] * k)
+    for i in range(k):
+        alone = phase_jitters(GaussianState(cov_factor=stack[i]), sigmas).cov_factor
+        assert stacked[i].tobytes() == alone.tobytes(), i
+    clipped = stacked[:, 2, 5] == 0.0  # mode 1's lpp
+    assert clipped.any() and not clipped.all()
 
 
 def test_a_sweep_stacks_the_points_of_each_layout_in_one_pass(monkeypatch):
