@@ -334,12 +334,9 @@ def witness_sums(factor: np.ndarray, graph: GraphSpec, variances=None) -> np.nda
     return variances[:, first] + variances[:, second]
 
 
-def full_inseparability_verdict(state: GaussianState, graph: GraphSpec, nullifiers=None) -> WitnessReport:
+def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> WitnessReport:
     """Nullifier variances plus witness inequalities in one call: the k = 1 call of :func:`witness_sums`.
 
     The square4 report marks the delegation to linear4 via `delegated_to`.
-    `nullifiers`, the state's :func:`nullifier_report` on `graph`, saves
-    computing the variances again; square4 does not read it.
     """
-    variances = None if nullifiers is None else np.array([nullifiers.variances])
-    return WitnessReport.for_graph(graph, witness_sums(state.cov_factor[None], graph, variances)[0].tolist())
+    return WitnessReport.for_graph(graph, witness_sums(state.cov_factor[None], graph)[0].tolist())

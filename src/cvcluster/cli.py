@@ -1,11 +1,9 @@
 """Command-line front-end.
 
-Three subcommands:
+Two subcommands:
 
 * `simulate` runs one scenario and prints the report (text or JSON).
 * `sweep` varies one scalar axis over a grid and prints CSV.
-* `verify-decompositions` compares the factor strings against the constant
-  network matrices.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when a witness
 verdict is requested for a graph without defined pairings.
@@ -18,7 +16,6 @@ e.g. `--squeezing-db=-6,-6,-5.5,-6.3`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from cvcluster.analysis import UnsupportedGraphError
@@ -28,7 +25,6 @@ from cvcluster.scenarios import (
     read_config_file,
     run_scenario,
     run_sweep,
-    verify_decompositions,
 )
 
 EXIT_OK = 0
@@ -110,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, required=True, help="first grid value")
     p_sweep.add_argument("--to", dest="stop", type=float, required=True, help="last grid value")
     p_sweep.add_argument("--steps", type=int, required=True, help="number of grid points")
-
-    p_verify = sub.add_parser("verify-decompositions", help="check the factor strings against the matrices")
-    p_verify.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -122,7 +115,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             report = run_scenario(_scenario_config(args))
             sys.stdout.write(report.render())
-        elif args.command == "sweep":
+        else:
             cfg = _scenario_config(args)
             # the flags are usage errors; a config file's report fields would be ignored just the same
             if cfg.output_format != "text":
@@ -131,12 +124,6 @@ def main(argv=None) -> int:
                 raise ConfigError("verify_decompositions", "sweep runs no decomposition checks; use simulate")
             result = run_sweep(cfg, args.axis, args.start, args.stop, args.steps)
             sys.stdout.write(result.to_csv())
-        else:
-            report = verify_decompositions()
-            if args.output_format == "json":
-                sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-            else:
-                sys.stdout.write(report.to_text() + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -516,17 +516,21 @@ def jitter_factors(factor: np.ndarray, modes: tuple[int, ...], sigmas) -> np.nda
     grams = block @ block.swapaxes(2, 3)
     del block  # as large as the factor
     if len(sigmas) < ARRAY_FORM_MIN_POINTS:
-        moments = [[_jitter_moments(sigma * sigma) for sigma in row] for row in sigmas]
+        moments = [[_jitter_moments(sigma) for sigma in row] for row in sigmas]
         noises = [[_rotation_noise(gram, vcc, vss) for gram, (vcc, vss, _) in zip(point_grams, row)]
                   for point_grams, row in zip(grams.tolist(), moments)]
         return _mode_channels(factor, modes, [[gain for _, _, gain in row] for row in moments], noises)
-    sigmas = np.array(sigmas, dtype=float)
-    vcc, vss, gains = _per_value(_jitter_moments, sigmas * sigmas).transpose(2, 0, 1)
+    vcc, vss, gains = _per_value(_jitter_moments, np.array(sigmas, dtype=float)).transpose(2, 0, 1)
     return _mode_channels_array(factor, modes, gains, _rotation_noises(grams, vcc, vss))
 
 
-def _jitter_moments(v: float) -> tuple[float, float, float]:
-    """E[dc^2], E[ds^2] and the gain E[cos theta] of a rotation theta ~ N(0, v), from `math` (see :func:`phase_jitter`)."""
+def _jitter_moments(sigma: float) -> tuple[float, float, float]:
+    """E[dc^2], E[ds^2] and the gain E[cos theta] of theta ~ N(0, sigma^2), from `math` (see :func:`phase_jitter`).
+
+    sigma is squared here, as a Python float: past about 1.34e154 the square
+    is inf and gives the limits 1/2, 1/2 and 0, without numpy's overflow warning.
+    """
+    v = sigma * sigma
     return 0.5 * math.expm1(-v) ** 2, -0.5 * math.expm1(-2.0 * v), math.exp(-v / 2.0)
 
 

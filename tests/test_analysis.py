@@ -15,8 +15,10 @@ from cvcluster.analysis import (
     linear4,
     nullifier_coefficients,
     nullifier_report,
+    nullifier_variances,
     square4,
     tshape4,
+    witness_sums,
 )
 from cvcluster.gaussian import (
     apply_unitary,
@@ -264,9 +266,11 @@ class TestFullInseparabilityVerdict:
         make_unitary, make_graph = NETWORKS[name]
         state = apply_unitary(impure_inputs([-5.5, -6.3, -5.8, -6.0], [9.1, 11.9, 10.5, 11.2]), make_unitary())
         state = phase_jitter(lossy_channel(state, 2, 0.9), 3, 0.05)
-        graph = make_graph()
-        reused = full_inseparability_verdict(state, graph, nullifier_report(state, graph))
-        assert reused == full_inseparability_verdict(state, graph)
+        graph, stack = make_graph(), state.cov_factor[None]
+        # a sweep pass hands witness_sums the variances it has measured already
+        reused = witness_sums(stack, graph, nullifier_variances(stack, graph))
+        assert reused.tobytes() == witness_sums(stack, graph).tobytes()
+        assert reused[0].tolist() == list(full_inseparability_verdict(state, graph).lhs_values)
 
     def test_custom_graph_rejected(self):
         graph = GraphSpec(4, frozenset({(1, 2), (3, 4)}), "custom")

@@ -183,6 +183,14 @@ class TestSweep:
         assert row[0] == "squeezing_db"
         assert float(row[1]) == -12.0
 
+    def test_jitter_up_to_the_largest_floats(self, capsys):
+        # sigma^2 overflows from about 1.34e154; under the tests' warnings-as-errors a stray warning is a failure
+        code, out, err = run_cli(capsys, "sweep", "--network", "linear4", "--axis", "jitter", "--from", "0",
+                                 "--to", "1e308", "--steps", "7")
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 7 and all(math.isfinite(float(cell)) for row in rows for cell in row[1:-1])
+
     def test_unknown_axis(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--network", "linear4",
@@ -212,14 +220,22 @@ class TestSweep:
 
 class TestVerifyDecompositions:
     def test_text(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-decompositions")
+        code, out, _ = run_cli(capsys, "simulate", "--network", "linear4", "--verify-decompositions")
         assert code == EXIT_OK
-        assert "linear" in out and "tshape" in out
+        section = out[out.index("\ndecomposition checks\n"):]
+        assert "\n  linear: " in section and "\n  tshape: " in section
 
     def test_json(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-decompositions", "--format", "json")
+        code, out, _ = run_cli(capsys, "simulate", "--network", "linear4", "--verify-decompositions", "--format", "json")
         assert code == EXIT_OK
-        report = json.loads(out)
+        report = json.loads(out)["decompositions"]
         assert {c["network"] for c in report["checks"]} == {"linear", "tshape"}
         assert all(c["max_deviation"] < 1e-12 for c in report["checks"])
         assert report["square_relation_deviation"] < 1e-12
+
+    def test_the_subcommand_is_gone(self, capsys):
+        # the checks are a section of the simulate report; there is no second entry to them
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-decompositions"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify-decompositions'" in capsys.readouterr().err

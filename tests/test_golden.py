@@ -45,8 +45,8 @@ CASES = {
         "sweep", "--network", "linear4", "--squeezing-db=-6",
         "--axis", "squeezing_db", "--from", "-12", "--to", "0", "--steps", "13",
     ],
-    "verify_decompositions.txt": ["verify-decompositions"],
-    "verify_decompositions.json": ["verify-decompositions", "--format", "json"],
+    "linear4_verify_decompositions.txt": ["simulate", "--network", "linear4", "--verify-decompositions"],
+    "linear4_verify_decompositions.json": ["simulate", "--network", "linear4", "--verify-decompositions", "--format", "json"],
     "square4_pre_loss_jitter.json": [
         "simulate", "--network", "square4", *IMPERFECT,
         "--loss=0.9,0.95,0.92,0.97", "--loss-placement", "pre", "--jitter=0.03,0.01,0.02,0.05",

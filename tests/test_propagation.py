@@ -42,10 +42,12 @@ LINEAR_EDGES = ((1, 2), (2, 3), (3, 4))
 # transmissivities and sigmas, with the ends that change a point's column layout
 ETA = st.just(1.0) | st.floats(0.0, 1.0)
 SIGMA = st.just(0.0) | st.floats(0.0, 0.5)
+# sigmas from the largest decade of floats down to the one from which the square overflows, about 1.34e154
+HUGE_SIGMAS = [1e308, 1e155, 1e154]
 # the same, with the edges where the channels cancel: all loss, loss of 1e-9, sigma 1e-8, sigma whose square
-# underflows to 0 (a zero noise factor) and large sigma
+# underflows to 0 (a zero noise factor), large sigma and sigma whose square overflows
 EDGE_ETA = ETA | st.sampled_from([0.0, 1.0 - 1e-9])
-EDGE_SIGMA = SIGMA | st.sampled_from([1e-8, 1e-200]) | st.floats(0.0, 10.0)
+EDGE_SIGMA = SIGMA | st.sampled_from([1e-8, 1e-200, *HUGE_SIGMAS]) | st.floats(0.0, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,18 @@ def test_the_jitter_array_form_clips_as_the_scalar_form():
         assert stacked[i].tobytes() == alone.tobytes(), i
     clipped = stacked[:, 2, 5] == 0.0  # mode 1's lpp
     assert clipped.any() and not clipped.all()
+
+
+@pytest.mark.parametrize("sigma", HUGE_SIGMAS)
+def test_a_stacked_pass_at_huge_sigma_equals_the_stack_of_one(sigma):
+    # past about 1.34e154 sigma^2 is inf: the moments take their limits, and no product may overflow on the stack
+    unitary = scenarios._resolve_network(ScenarioConfig("linear4"))[0]
+    state = apply_unitary(impure_squeezed_inputs([-5.5, -6.3, -5.8, -6.0], [9.1, 11.9, 10.5, 11.2]), unitary)
+    rows = [[sigma, 0.01 + 0.03 * i, sigma, 1e-8] for i in range(ARRAY_FORM_MIN_POINTS)]
+    stacked = jitter_factors(np.repeat(state.cov_factor[None], len(rows), axis=0), (1, 2, 3, 4), rows)
+    for i, row in enumerate(rows):
+        alone = phase_jitters(state, dict(enumerate(row, start=1))).cov_factor
+        assert stacked[i].tobytes() == alone.tobytes(), i
 
 
 def test_a_sweep_stacks_the_points_of_each_layout_in_one_pass(monkeypatch):
