@@ -250,6 +250,16 @@ def analytic_residual_variances(kind: str, r) -> np.ndarray:
     return np.array(columns).T
 
 
+def witness_tested_on(graph: GraphSpec) -> str | None:
+    """The name of the graph whose `WITNESS_PAIRS` test `graph`, or None when it has no pairing.
+
+    linear4 and tshape4 are tested on themselves, and square4 on the locally
+    equivalent linear4; a custom graph has no pairing.
+    """
+    tested = "linear4" if graph.name == "square4" else graph.name
+    return tested if tested in WITNESS_PAIRS else None
+
+
 @dataclass(frozen=True)
 class WitnessInequality:
     """One pairwise inequality: a sum of two nullifier variances, satisfied below the bound 1."""
@@ -281,11 +291,11 @@ class WitnessReport:
         """The report of a built-in graph's inequality sums, one per pair of `WITNESS_PAIRS`.
 
         square4 carries the linear4 inequalities, as computed on the locally
-        equivalent linear state; other graphs without a pairing raise
+        equivalent linear state; a graph without a pairing raises
         :class:`UnsupportedGraphError`.
         """
-        tested = "linear4" if graph.name == "square4" else graph.name
-        if tested not in WITNESS_PAIRS:
+        tested = witness_tested_on(graph)
+        if tested is None:
             raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
         pairs = WITNESS_PAIRS[tested]
         if len(lhs) != len(pairs):
@@ -313,23 +323,21 @@ def _square_to_linear_phases():
 def witness_sums(factor: np.ndarray, graph: GraphSpec, variances=None) -> np.ndarray:
     """The witness inequality sums on each factor of a (k, 2n, m) stack: (k, 3), in `WITNESS_PAIRS` order.
 
-    Supported graphs are linear4 and tshape4; square4 is handled by undoing
-    the local phases on the whole stack and summing the linear4 pairs of the
-    locally equivalent linear states.  Custom graphs have no defined pairing
-    and raise :class:`UnsupportedGraphError`.  `variances`, the stack's
+    The graph is tested on :func:`witness_tested_on`: square4's local phases
+    are undone on the whole stack and the linear4 pairs of the locally
+    equivalent linear states are summed.  A graph without a pairing raises
+    :class:`UnsupportedGraphError`.  `variances`, the stack's
     :func:`nullifier_variances` on `graph`, saves computing them again;
     square4 tests other combinations and does not read it.
     """
     _check_modes(factor, graph)
-    if graph.name == "square4":
-        tested = "linear4"
-        variances = nullifier_variances(network_factors(factor, _square_to_linear_phases()), linear4())
-    elif graph.name not in WITNESS_PAIRS:
+    tested = witness_tested_on(graph)
+    if tested is None:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-    else:
-        tested = graph.name
-        if variances is None:
-            variances = nullifier_variances(factor, graph)
+    if tested != graph.name:
+        variances = nullifier_variances(network_factors(factor, _square_to_linear_phases()), linear4())
+    elif variances is None:
+        variances = nullifier_variances(factor, graph)
     first, second = _PAIR_COLUMNS[tested]
     return variances[:, first] + variances[:, second]
 

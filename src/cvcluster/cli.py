@@ -5,8 +5,9 @@ Two subcommands:
 * `simulate` runs one scenario and prints the report (text or JSON).
 * `sweep` varies one scalar axis over a grid and prints CSV.
 
-Exit codes: 0 on success, 2 for configuration errors, 3 when a witness
-verdict is requested for a graph without defined pairings.
+Exit codes: 0 on success, 2 for configuration errors.  The witness is
+evaluated exactly when the cluster graph has a witness pairing: on the
+built-in networks, never on a netlist's custom graph.
 
 Per-mode options accept either a single value (applied to every mode) or a
 comma-separated list.  Lists starting with a minus sign need the `=` form,
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from cvcluster.analysis import UnsupportedGraphError
 from cvcluster.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -29,7 +29,6 @@ from cvcluster.scenarios import (
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_UNSUPPORTED_GRAPH = 3
 
 
 def _parse_values(field: str, text: str):
@@ -65,8 +64,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser):
     parser.add_argument("--loss-placement", dest="loss_placement", choices=("pre", "post"),
                         help="apply loss before or after the network (default post)")
     parser.add_argument("--jitter", metavar="SIGMA[,SIGMA...]", help="per-mode phase jitter sigma in radians")
-    parser.add_argument("--witness", action=argparse.BooleanOptionalAction, default=None,
-                        help="force the witness evaluation on or off")
     parser.add_argument("--graph-edges", dest="graph_edges", metavar="A-B[,A-B...]",
                         help="cluster graph for a netlist network, e.g. '1-2,2-3,3-4'")
 
@@ -79,7 +76,7 @@ def _scenario_config(args) -> ScenarioConfig:
         value = getattr(args, field)
         if value is not None:
             data[field] = _parse_values(field, value)
-    for field in ("loss_placement", "output_format", "witness", "verify_decompositions"):
+    for field in ("loss_placement", "output_format", "verify_decompositions"):
         if getattr(args, field, None) is not None:  # sweep has no report format or decomposition checks
             data[field] = getattr(args, field)
     if args.graph_edges is not None:
@@ -127,9 +124,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnsupportedGraphError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNSUPPORTED_GRAPH
     return EXIT_OK
 
 

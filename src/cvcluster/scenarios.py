@@ -22,13 +22,12 @@ import numpy as np
 from cvcluster.analysis import (
     GraphSpec,
     NullifierReport,
-    UnsupportedGraphError,
     WitnessReport,
     analytic_column,
     graph_by_name,
-    NAMED_GRAPH_EDGES,
     nullifier_variances,
     witness_sums,
+    witness_tested_on,
 )
 from cvcluster.gaussian import (
     LEVEL_LIMIT_DB,
@@ -114,8 +113,8 @@ class ScenarioConfig:
     `squeezing_db` (pure inputs).  Per-mode values must be real numbers, node
     labels integers.  Built-in networks have 4 modes; a netlist has as many
     as the first per-mode list, or as its `MODES` header.
-    `witness` None means on for built-in networks, off for netlists.
-    `graph_edges` gives a netlist its cluster graph.
+    `graph_edges` gives a netlist its cluster graph.  A run evaluates the
+    witness when its graph has a witness pairing (`witness_tested_on`).
     """
 
     network: str
@@ -125,7 +124,6 @@ class ScenarioConfig:
     loss_placement: str = "post"
     jitter: tuple[float, ...] = None
     output_format: str = "text"
-    witness: bool | None = None
     graph_edges: tuple[tuple[int, int], ...] | None = None
     verify_decompositions: bool = False
 
@@ -168,8 +166,6 @@ class ScenarioConfig:
             raise ConfigError("loss_placement", f"expected 'pre' or 'post', got {self.loss_placement!r}")
         if self.output_format not in ("text", "json"):
             raise ConfigError("output_format", f"expected 'text' or 'json', got {self.output_format!r}")
-        if self.witness is not None and not isinstance(self.witness, bool):
-            raise ConfigError("witness", f"expected true, false or null, got {self.witness!r}")
         if self.graph_edges is not None:
             if self.network in NETWORK_UNITARIES:
                 raise ConfigError("graph_edges", "built-in networks define their own graph")
@@ -267,18 +263,6 @@ def _cluster_graph(cfg: ScenarioConfig) -> GraphSpec | None:
     if cfg.network in NETWORK_UNITARIES:
         return graph_by_name(cfg.network)
     return None if cfg.graph_edges is None else _custom_graph(cfg.n_modes, frozenset(cfg.graph_edges))
-
-
-def _wants_witness(cfg: ScenarioConfig, graph: GraphSpec | None) -> bool:
-    """Whether a run evaluates the witness: `cfg.witness`, by default on for a built-in graph.
-
-    Asking for it on any other graph, or without one, is an UnsupportedGraphError.
-    """
-    built_in = graph is not None and graph.name in NAMED_GRAPH_EDGES
-    if cfg.witness and not built_in:
-        where = "without a cluster graph" if graph is None else f"for graph {graph.name!r}"
-        raise UnsupportedGraphError(f"no witness pairing is defined {where}")
-    return built_in if cfg.witness is None else cfg.witness
 
 
 def _resolve_network(cfg: ScenarioConfig) -> tuple[ComplexUnitary, GraphSpec | None]:
@@ -479,9 +463,9 @@ class ScenarioReport:
             analytic = analytic_column(graph, cfg.squeezing_r)
             nullifiers = _read_section(data, "nullifiers", "nodes", "variance",
                                        lambda variances: NullifierReport.for_graph(graph, variances, analytic))
-        if _wants_witness(cfg, graph):
-            witness = _read_section(data, "witness", "inequalities", "lhs",
-                                    functools.partial(WitnessReport.for_graph, graph))
+            if witness_tested_on(graph):
+                witness = _read_section(data, "witness", "inequalities", "lhs",
+                                        functools.partial(WitnessReport.for_graph, graph))
         if cfg.verify_decompositions:
             decompositions = DecompositionReport.from_dict(data.get("decompositions"))
         report = cls(cfg, nullifiers, witness, decompositions)
@@ -578,11 +562,11 @@ def _propagate(points, unitary: ComplexUnitary):
             yield indices, _stack([points[i] for i in indices], layout, unitary)
 
 
-def _measure(points, stack: np.ndarray, graph: GraphSpec | None, witness: bool) -> list[tuple]:
+def _measure(points, stack: np.ndarray, graph: GraphSpec | None) -> list[tuple]:
     """Each config's measurement from the (k, 2n, m) stack of their final factors, one kernel call per quantity.
 
     A point's row is (nullifier variances, witness sums, analytic column),
-    lists or None: None without a graph, without the witness, or on a
+    lists or None: all None without a graph, and the last two None on a
     custom graph.  The stack must be finite, as a state's factor must.
     """
     if not np.isfinite(stack).all():
@@ -590,7 +574,7 @@ def _measure(points, stack: np.ndarray, graph: GraphSpec | None, witness: bool) 
     if graph is None:
         return [(None, None, None)] * len(points)
     variances = nullifier_variances(stack, graph)
-    lhs = witness_sums(stack, graph, variances).tolist() if witness else [None] * len(points)
+    lhs = witness_sums(stack, graph, variances).tolist() if witness_tested_on(graph) else [None] * len(points)
     analytic = analytic_column(graph, [p.squeezing_r for p in points]) or [None] * len(points)
     return list(zip(variances.tolist(), lhs, analytic))
 
@@ -608,7 +592,7 @@ def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> Scenario
     """
     unitary, graph = _resolve_network(cfg) if _network is None else _network
     if _measured is None:
-        _measured = _measure([cfg], _stack([cfg], _layout(cfg), unitary), graph, _wants_witness(cfg, graph))[0]
+        _measured = _measure([cfg], _stack([cfg], _layout(cfg), unitary), graph)[0]
     variances, lhs, analytic = _measured
     nullifiers = None if variances is None else NullifierReport.for_graph(graph, variances, analytic)
     witness = None if lhs is None else WitnessReport.for_graph(graph, lhs)
@@ -706,12 +690,11 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     unitary, graph = network = _resolve_network(cfg)
     if graph is None:
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
-    witness = _wants_witness(cfg, graph)
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
     points = [cfg._sweep_point(axis, value) for value in values]
     reports = [None] * steps
     for indices, stack in _propagate(points, unitary):
-        rows = _measure([points[i] for i in indices], stack, graph, witness)
+        rows = _measure([points[i] for i in indices], stack, graph)
         del stack  # before the next pass is propagated
         for i, row in zip(indices, rows):
             reports[i] = run_scenario(points[i], network, row)

@@ -19,6 +19,7 @@ from cvcluster.analysis import (
     square4,
     tshape4,
     witness_sums,
+    witness_tested_on,
 )
 from cvcluster.gaussian import (
     apply_unitary,
@@ -276,6 +277,11 @@ class TestFullInseparabilityVerdict:
         graph = GraphSpec(4, frozenset({(1, 2), (3, 4)}), "custom")
         with pytest.raises(UnsupportedGraphError, match="custom"):
             full_inseparability_verdict(vacuum(4), graph)
+
+    def test_the_graph_a_witness_is_tested_on(self):
+        assert [witness_tested_on(g()) for g in (linear4, square4, tshape4)] == ["linear4", "linear4", "tshape4"]
+        # a custom graph has no pairing, even with the edges of a built-in one
+        assert witness_tested_on(GraphSpec(4, linear4().edges, "custom")) is None
 
     def test_witness_never_flips_when_variances_shrink(self):
         rng = np.random.default_rng(23)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cvcluster.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED_GRAPH, main
+from cvcluster.cli import EXIT_CONFIG, EXIT_OK, main
 from cvcluster.networks import emit_netlist, linear_program
 
 MEASURED_GAP = Path(__file__).resolve().parent.parent / "configs" / "measured_gap.json"
@@ -109,13 +109,15 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert "squeezing_db[0]" in err
 
-    def test_witness_on_custom_graph(self, capsys, linear_netlist):
-        code, _, err = run_cli(
-            capsys, "simulate", "--network", linear_netlist, "--squeezing-db=-6",
-            "--graph-edges", "1-2,2-3,3-4", "--witness",
-        )
-        assert code == EXIT_UNSUPPORTED_GRAPH
-        assert err.strip() == "no witness pairing is defined for graph 'custom'"
+    # the witness follows from the graph; neither subcommand takes a flag to force it
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "loss", "--from", "1", "--to", "0.5",
+                                                        "--steps", "3"]], ids=["simulate", "sweep"])
+    @pytest.mark.parametrize("flag", ["--witness", "--no-witness"])
+    def test_witness_flags_are_usage_errors(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--network", "linear4", flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff\xfe{}"],
                              ids=["missing", "invalid-json", "not-an-object", "not-utf8"])
@@ -140,14 +142,16 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: {field}: ")
 
-    def test_config_file_with_a_removed_field_is_rejected(self, capsys, tmp_path):
-        # configs once carried a `jitter_mc` field, null unless sampling was asked for
+    # configs once carried a `jitter_mc` field, null unless sampling was asked for, and a `witness` field,
+    # null unless the witness was forced on or off
+    @pytest.mark.parametrize("field", ["jitter_mc", "witness"])
+    def test_config_file_with_a_removed_field_is_rejected(self, capsys, tmp_path, field):
         data = json.loads(MEASURED_GAP.read_text(encoding="utf-8"))
-        data["jitter_mc"] = None
+        data[field] = None
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
-        assert (code, out, err) == (EXIT_CONFIG, "", "config error: jitter_mc: unknown field\n")
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {field}: unknown field\n")
 
     def test_netlist_mode_count_capped(self, capsys, tmp_path):
         path = tmp_path / "huge.net"

@@ -22,6 +22,7 @@ from cvcluster.analysis import (
     nullifier_report,
     nullifier_variances,
     witness_sums,
+    witness_tested_on,
 )
 from cvcluster.gaussian import (
     ARRAY_FORM_MIN_POINTS,
@@ -167,6 +168,44 @@ def test_a_stacked_pass_at_huge_sigma_equals_the_stack_of_one(sigma):
         assert stacked[i].tobytes() == alone.tobytes(), i
 
 
+# Each channel edge that a pass of ARRAY_FORM_MIN_POINTS points, the kernels' array form, must carry as the
+# stack of one does: the deepest and the zero level, all loss, loss of 1e-9 and none, and sigma whose square
+# underflows, tiny and large sigma, and sigma at, past and far past the overflow of its square.
+ARRAY_FORM_EDGES = [
+    ("squeezing_db", -LEVEL_LIMIT_DB), ("squeezing_db", 0.0),
+    ("loss", 0.0), ("loss", 1.0 - 1e-9), ("loss", 1.0),
+    *(("jitter", sigma) for sigma in (1e-200, 1e-8, 10.0, 1e154, 1e155, 1e308)),
+]
+
+
+@pytest.mark.parametrize("placement", ["pre", "post"])
+@pytest.mark.parametrize("network", ["linear4", "square4", "tshape4", "netlist"])
+@pytest.mark.parametrize("field, value", ARRAY_FORM_EDGES, ids=[f"{f}={v!r}" for f, v in ARRAY_FORM_EDGES])
+def test_an_array_form_pass_at_each_channel_edge_equals_the_stack_of_one(field, value, network, placement,
+                                                                        linear_netlist):
+    # the edge value on modes 1 and 3 of every point, and the points of the pass apart in another channel
+    varied = "loss" if field == "jitter" else "jitter"
+    points = []
+    for i in range(ARRAY_FORM_MIN_POINTS):
+        fields = {"squeezing_db": [-5.5, -6.3, -5.8, -6.0], "antisqueezing_db": [9.1, 11.9, 10.5, 11.2],
+                  "loss": [0.9, 0.95, 0.92, 0.97], "jitter": [0.03, 0.01, 0.02, 0.05]}
+        fields[varied] = [v * (1.0 - 0.05 * i) for v in fields[varied]]
+        for mode in (0, 2):
+            fields[field][mode] = value
+            if field == "squeezing_db":
+                fields["antisqueezing_db"][mode] = 0.0 - value  # pure
+        points.append(ScenarioConfig(linear_netlist if network == "netlist" else network, loss_placement=placement,
+                                     graph_edges=LINEAR_EDGES if network == "netlist" else None, **fields))
+    unitary, graph = scenarios._resolve_network(points[0])
+    [(indices, stack)] = scenarios._propagate(points, unitary)
+    assert indices == list(range(ARRAY_FORM_MIN_POINTS))
+    rows = scenarios._measure(points, stack, graph)
+    for i, point in enumerate(points):
+        alone = scenarios._stack([point], scenarios._layout(point), unitary)
+        assert stack[i].tobytes() == alone[0].tobytes(), i
+        assert rows[i] == scenarios._measure([point], alone, graph)[0], i
+
+
 def test_a_sweep_stacks_the_points_of_each_layout_in_one_pass(monkeypatch):
     # eta 1 on every mode is the lossless layout; the other 20 points all lose on every mode
     passes = []
@@ -206,7 +245,7 @@ def test_a_pass_holds_at_most_the_byte_budget(tmp_path):
 
 @st.composite
 def measured_sweeps(draw, netlist):
-    """A base config on a built-in network or the 8-mode netlist, with the witness on, off or by default, and a sweep."""
+    """A base config on a built-in network or the 8-mode netlist, and a sweep."""
     network = draw(st.sampled_from(["linear4", "square4", "tshape4", netlist]))
     wide = network == netlist
     n = WIDE_MODES if wide else 4
@@ -218,8 +257,7 @@ def measured_sweeps(draw, netlist):
         loss=draw(st.lists(ETA, min_size=n, max_size=n)),
         loss_placement=draw(st.sampled_from(["pre", "post"])),
         jitter=draw(st.lists(SIGMA, min_size=n, max_size=n)),
-        # a custom graph has no witness pairing; the complete graph gives every nullifier 8 terms
-        witness=draw(st.sampled_from([None, False] if wide else [None, True, False])),
+        # the complete graph gives every nullifier 8 terms
         graph_edges=draw(st.just(WIDE_PAIRS) | st.lists(st.sampled_from(WIDE_PAIRS), min_size=1, unique=True))
         if wide else None,
     )
@@ -236,7 +274,7 @@ def test_a_pass_measures_each_point_as_the_analysis_does_alone(data, wide_netlis
     budget = data.draw(st.sampled_from([STACK_BYTES, 1, 3 * 8 * 16 * 48]), label="budget")
     points = [cfg._sweep_point(axis, float(v)) for v in np.linspace(start, stop, steps)]
     unitary, graph = scenarios._resolve_network(cfg)
-    witness = scenarios._wants_witness(cfg, graph)
+    witness = witness_tested_on(graph) is not None
     with mock.patch.object(scenarios, "STACK_BYTES", budget):
         passes = list(scenarios._propagate(points, unitary))
     assert sorted(i for indices, _ in passes for i in indices) == list(range(steps))
@@ -246,7 +284,7 @@ def test_a_pass_measures_each_point_as_the_analysis_does_alone(data, wide_netlis
         lhs = witness_sums(stack, graph, variances) if witness else None
         built_in = graph.name in NAMED_GRAPH_EDGES
         analytic = analytic_residual_variances(graph.name, [p.squeezing_r for p in members]) if built_in else None
-        rows = scenarios._measure(members, stack, graph, witness)
+        rows = scenarios._measure(members, stack, graph)
         for j, (point, factor) in enumerate(zip(members, stack)):
             state = GaussianState(cov_factor=factor)
             alone = nullifier_report(state, graph, point.squeezing_r)

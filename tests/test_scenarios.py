@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cvcluster import gaussian, networks, scenarios
-from cvcluster.analysis import UnsupportedGraphError
 from cvcluster.cli import main
 from cvcluster.networks import emit_netlist, linear_program, tshape_program
 from cvcluster.scenarios import (
@@ -199,21 +198,6 @@ class TestRunScenario:
             linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0, graph_edges=LINEAR_EDGES,
         ))
         assert all(e.analytic_variance is None for e in report.nullifiers.entries)
-
-    def test_witness_on_custom_graph_rejected(self, linear_netlist):
-        cfg = ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0,
-                                    graph_edges=LINEAR_EDGES, witness=True)
-        with pytest.raises(UnsupportedGraphError, match="custom"):
-            run_scenario(cfg)
-
-    def test_witness_without_graph_rejected(self, linear_netlist):
-        cfg = ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=6.0, witness=True)
-        with pytest.raises(UnsupportedGraphError):
-            run_scenario(cfg)
-
-    def test_witness_can_be_disabled(self):
-        cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0, witness=False)
-        assert run_scenario(cfg).witness is None
 
     def test_loss_placement_matters_for_uneven_loss(self):
         pre = run_scenario(ScenarioConfig(
@@ -484,8 +468,11 @@ class TestReportFromDict:
                                  "decompositions"),
         "unknown section": ("measured_gap", ("trace",), {}, "trace"),
         "unknown key": ("measured_gap", ("witness", "margin"), 0.1, "witness.margin"),
-        # reports written while the config had a Monte-Carlo jitter field no longer read back
+        # reports written while the config had a Monte-Carlo jitter field, or a witness field that forced
+        # the witness on or off, no longer read back
         "removed config field": ("measured_gap", ("config", "jitter_mc"), None, "jitter_mc"),
+        "removed witness field": ("measured_gap", ("config", "witness"), None, "witness"),
+        "removed witness field, forced off": ("square4", ("config", "witness"), False, "witness"),
     }
 
     @pytest.mark.parametrize("name", sorted(TAMPERS))
@@ -536,20 +523,14 @@ class TestReportFromDict:
 
     @pytest.mark.parametrize("kwargs", [
         {"graph_edges": LINEAR_EDGES},
-        {"graph_edges": LINEAR_EDGES, "witness": False, "verify_decompositions": True},
+        {"graph_edges": LINEAR_EDGES, "verify_decompositions": True},
         {},
-    ], ids=["graph", "graph-no-witness", "no-graph"])
+    ], ids=["graph", "graph-decompositions", "no-graph"])
     def test_netlist_report_round_trips_without_its_file(self, linear_netlist, kwargs):
         report = run_scenario(ScenarioConfig(linear_netlist, squeezing_db=-6.0, antisqueezing_db=9.0,
                                                     loss=[0.9, 1, 1, 0.8], **kwargs))
         Path(linear_netlist).unlink()
         assert ScenarioReport.from_dict(json.loads(report.to_json())) == report
-
-    def test_witness_on_a_graph_without_pairing_is_unsupported(self, linear_netlist):
-        report = run_scenario(ScenarioConfig(linear_netlist, squeezing_db=-6.0, graph_edges=LINEAR_EDGES))
-        data = tampered(json.loads(report.to_json()), ("config", "witness"), True)
-        with pytest.raises(UnsupportedGraphError, match="custom"):
-            ScenarioReport.from_dict(data)
 
 
 class TestVerifyDecompositions:
