@@ -16,6 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -219,7 +220,7 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config", f"expected an object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        unknown = data.keys() - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
         if "network" not in data:
@@ -227,7 +228,7 @@ class ScenarioConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {f.name: _lists(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {name: _lists(getattr(self, name)) for name in _CONFIG_FIELDS}
 
     @property
     def n_modes(self) -> int:
@@ -237,6 +238,9 @@ class ScenarioConfig:
     def squeezing_r(self) -> tuple[float, ...]:
         """Input squeezing parameters r, one per mode, from the squeezing levels."""
         return tuple(map(squeezing_db_to_r, self.squeezing_db))
+
+
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 
 
 def read_config_file(path) -> dict:
@@ -404,6 +408,39 @@ def _first_difference(derived, written, path: str = "") -> str | None:
     return next(filter(None, (_first_difference(d, w, sub) for sub, d, w in children)), None)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it, each line opened by `indent`.
+
+    With `indent`, `json.dumps` runs its pure-Python encoder, a generator
+    per value.  Here dict keys (str) and strings go through the C string
+    encoder, a finite float is its `float.__repr__`, and a flat list of
+    finite floats is one `join`.  Tuples are written as lists; ints, bools,
+    None and non-finite floats are written as `json.dumps` writes them.
+    """
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        # a non-finite float makes the sum non-finite; so may an overflow, which is then written value by value
+        if all(type(v) is float for v in value) and math.isfinite(sum(value)):
+            items = list(map(float.__repr__, value))
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # NaN, Infinity, -Infinity; a TypeError for what JSON cannot hold
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     """Everything produced by one scenario run."""
@@ -475,7 +512,7 @@ class ScenarioReport:
         return report
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json(self.to_dict()) + "\n"
 
     def to_text(self) -> str:
         cfg = self.config
