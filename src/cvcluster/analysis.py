@@ -23,7 +23,6 @@ from cvcluster.gaussian import (
     as_integer,
     combination_variance,  # noqa: F401  (the one-combination form, also importable from here)
     combination_variances,
-    network_factors,
     variance_to_db,
 )
 from cvcluster.networks import linear_to_square_phases
@@ -45,8 +44,6 @@ WITNESS_PAIRS = {
     "linear4": ((1, 2), (3, 2), (3, 4)),
     "tshape4": ((2, 1), (3, 1), (4, 1)),
 }
-# The variance columns of the first nodes of the pairs, and of the second nodes.
-_PAIR_COLUMNS = {name: np.array(pairs).T - 1 for name, pairs in WITNESS_PAIRS.items()}
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,24 @@ class GraphSpec:
     def references(self) -> tuple[float, ...]:
         """Each node's vacuum-input nullifier variance (1 + |N(a)|)/4, in node order, built once."""
         return tuple((1 + len(self.neighbors(a))) * VACUUM_VARIANCE for a in range(1, self.n_nodes + 1))
+
+    @cached_property
+    def measured_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The read-only rows that measure the graph, and the (2, 3) rows each witness sum adds, or None; built once.
+
+        The nullifiers, node a's in row a - 1, and those of the graph it is tested on (:func:`witness_tested_on`)
+        pulled back: square4 is linear4 after `linear_to_square_phases` P, which a linear4 row c measures as c S_P^T.
+        """
+        tested = witness_tested_on(self)
+        rows = self.coefficients
+        if tested is None:
+            return rows, None
+        pairs = np.array(WITNESS_PAIRS[tested]).T - 1
+        if tested != self.name:
+            pairs += len(rows)
+            rows = np.vstack((rows, graph_by_name(tested).coefficients @ linear_to_square_phases().symplectic.T))
+            rows.flags.writeable = False
+        return rows, pairs
 
 
 @cache
@@ -178,9 +193,7 @@ def nullifier_report(
     graph: GraphSpec,
     squeezing_r: tuple[float, float, float, float] | None = None,
 ) -> NullifierReport:
-    """Evaluate every node's nullifier variance on a state.
-
-    The k = 1 call of :func:`nullifier_variances`.
+    """Evaluate every node's nullifier variance on a state (:func:`nullifier_variances`).
 
     Args:
         state: the candidate cluster state.
@@ -188,17 +201,17 @@ def nullifier_report(
         squeezing_r: optional input squeezing parameters (r_1 .. r_4) used
             for the analytic column; ignored for custom graphs.
     """
-    variances = nullifier_variances(state.cov_factor[None], graph)[0].tolist()
+    variances = nullifier_variances(state.cov_factor, graph).tolist()
     return NullifierReport.for_graph(graph, variances, analytic_column(graph, squeezing_r))
 
 
 def _check_modes(factor: np.ndarray, graph: GraphSpec):
-    if factor.shape[1] != 2 * graph.n_nodes:
-        raise ValueError(f"state has {factor.shape[1] // 2} modes but graph has {graph.n_nodes} nodes")
+    if len(factor) != 2 * graph.n_nodes:
+        raise ValueError(f"state has {len(factor) // 2} modes but graph has {graph.n_nodes} nodes")
 
 
 def nullifier_variances(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:
-    """Every node's nullifier variance on each factor of a (k, 2n, m) stack: (k, n), node a in column a - 1."""
+    """Every node's nullifier variance on a (2n, m) factor: (n,), node a's at index a - 1."""
     _check_modes(factor, graph)
     return combination_variances(factor, graph.coefficients)
 
@@ -315,36 +328,24 @@ class WitnessReport:
         return tuple(i.lhs for i in self.inequalities)
 
 
-@cache
-def _square_to_linear_phases():
-    return linear_to_square_phases().adjoint()
+def witness_sums(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:
+    """The witness inequality sums on a (2n, m) factor: (3,), in `WITNESS_PAIRS` order.
 
-
-def witness_sums(factor: np.ndarray, graph: GraphSpec, variances=None) -> np.ndarray:
-    """The witness inequality sums on each factor of a (k, 2n, m) stack: (k, 3), in `WITNESS_PAIRS` order.
-
-    The graph is tested on :func:`witness_tested_on`: square4's local phases
-    are undone on the whole stack and the linear4 pairs of the locally
-    equivalent linear states are summed.  A graph without a pairing raises
-    :class:`UnsupportedGraphError`.  `variances`, the stack's
-    :func:`nullifier_variances` on `graph`, saves computing them again;
-    square4 tests other combinations and does not read it.
+    Each is the sum of the variances of a pair of `GraphSpec.measured_rows`, so
+    square4 is tested on the locally equivalent linear4 state.  A graph
+    without a pairing raises :class:`UnsupportedGraphError`.
     """
     _check_modes(factor, graph)
-    tested = witness_tested_on(graph)
-    if tested is None:
+    rows, pairs = graph.measured_rows
+    if pairs is None:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-    if tested != graph.name:
-        variances = nullifier_variances(network_factors(factor, _square_to_linear_phases()), linear4())
-    elif variances is None:
-        variances = nullifier_variances(factor, graph)
-    first, second = _PAIR_COLUMNS[tested]
-    return variances[:, first] + variances[:, second]
+    variances = combination_variances(factor, rows)
+    return variances[pairs[0]] + variances[pairs[1]]
 
 
 def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> WitnessReport:
-    """Nullifier variances plus witness inequalities in one call: the k = 1 call of :func:`witness_sums`.
+    """Nullifier variances plus witness inequalities in one call (:func:`witness_sums`).
 
     The square4 report marks the delegation to linear4 via `delegated_to`.
     """
-    return WitnessReport.for_graph(graph, witness_sums(state.cov_factor[None], graph)[0].tolist())
+    return WitnessReport.for_graph(graph, witness_sums(state.cov_factor, graph).tolist())

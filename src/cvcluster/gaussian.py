@@ -7,18 +7,15 @@ variance, and variances are all this package reports.  A passive network
 given as a complex unitary U = A + iB maps to the real quadrature transform
 S = [[A, -B], [B, A]] (symplectic, orthogonal, built once) and sends F to S F;
 loss and phase jitter scale a mode's rows and append two noise columns, all
-modes of a kind in one pass.  Each stage is one kernel on a stack of k
-factors of shape (k, 2n, m) (`input_factors`, `loss_factors`,
-`network_factors`, `jitter_factors`); the state functions are its k = 1
-calls, and a sweep sends all its points through each kernel at once.  The
-channel kernels run a small stack point by point (the scalar form) and a
-larger one as whole-stack array operations (the array form,
-`ARRAY_FORM_MIN_POINTS`); both give the same bits.
-Channel-built states are physical and are checked only for shape and
-finiteness; a caller-supplied covariance is checked physically, once, and
-factored.  Combination variances are sums of squares ||F^T c||^2, accurate
-even when huge antisqueezed variances cancel, for a whole stack at once
-(`combination_variances`).
+modes of a kind in one pass (`impure_squeezed_inputs`, `apply_unitary`,
+`lossy_channels`, `phase_jitters`).  Channel-built states are physical and
+are checked only for shape and finiteness; a caller-supplied covariance is
+checked physically, once, and factored.  Combination variances are sums of
+squares ||F^T c||^2, accurate even when huge antisqueezed variances cancel.
+
+`InputFrame` measures fixed combinations of a pass of points without a
+state, each row pulled back through the channels and the network to the
+inputs, where the paper's nullifiers hold no antisqueezed quadrature.
 
 All objects are immutable after construction and every operation returns a new
 value, so everything here is safe to use from concurrent workers.
@@ -260,62 +257,17 @@ def impure_squeezed_vacuum(spec: SqueezedInputSpec) -> GaussianState:
 
 
 def impure_squeezed_inputs(squeezing_db, antisqueezing_db) -> GaussianState:
-    """The :func:`tensor` of an :func:`impure_squeezed_vacuum` per level pair, in one step; levels go unchecked."""
-    return GaussianState(cov_factor=input_factors([squeezing_db], [antisqueezing_db])[0])
-
-
-# Smallest stack the channel kernels take in array form: whole-stack ufuncs
-# and writes through cached flat indices, in the scalar form's order of
-# operations and so in its bits.  A smaller stack, a single scenario's stack
-# of one included, runs the scalar form: `math` calls and item writes per
-# point and mode, which is also the reference the tests hold the array form
-# to.  The array form costs a few dozen numpy calls per pass whatever k is.
-# Measured on a `measured_gap` pass with loss and jitter on every mode (one
-# core of a 2-vCPU host, one BLAS thread, loss, jitter and squeezing sweeps):
-# the scalar form is about 2x faster at 1 point and still faster at 2 and 3;
-# at 4 the two are even (117-144 us against 127-172 us), at 5 the array form
-# is even or ahead, and at 200 it takes 0.9-1.4 ms against 3.6-5.3 ms.
-ARRAY_FORM_MIN_POINTS = 5
-
-
-def _per_value(scalar, x: np.ndarray) -> np.ndarray:
-    """`scalar` of each element of `x`, called once per distinct value: x's shape, plus a tuple result's length.
-
-    `scalar` is a `math` function of a Python float: numpy's transcendental
-    functions round some inputs differently, so their values come from the
-    same calls as in the scalar form, and only the arithmetic around them
-    runs on the whole stack.
-    """
-    ranked = np.sort(x, axis=None)
-    distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-    return np.array([scalar(v) for v in distinct.tolist()])[np.searchsorted(distinct, x)]
-
-
-def input_factors(squeezing_db, antisqueezing_db) -> np.ndarray:
-    """The (k, 2n, 2n) stacked factors of k product inputs; point i has the n levels of row i of each argument.
+    """The :func:`tensor` of an :func:`impure_squeezed_vacuum` per level pair, in one step; levels go unchecked.
 
     Mode j's x row holds sqrt(0.25 * 10^(a/10)) in column 2j and its p row
-    sqrt(0.25 * 10^(s/10)) in column 2j + 1.  Levels go unchecked.
+    sqrt(0.25 * 10^(s/10)) in column 2j + 1.
     """
-    k, n = len(squeezing_db), len(squeezing_db[0])
-    factor = np.zeros((k, 2 * n, 2 * n))
-    if k < ARRAY_FORM_MIN_POINTS:
-        for i, levels in enumerate(zip(squeezing_db, antisqueezing_db)):
-            for j, (s, a) in enumerate(zip(*levels)):
-                factor[i, j, 2 * j] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (a / 10.0))
-                factor[i, n + j, 2 * j + 1] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (s / 10.0))
-        return factor
-    levels = np.concatenate((antisqueezing_db, squeezing_db), axis=1)  # (k, 2n): x rows, then p rows
-    powers = _per_value(lambda level: 10.0 ** (level / 10.0), levels)
-    factor.reshape(k, -1)[:, _input_cells(n)] = np.sqrt(VACUUM_VARIANCE * powers)
-    return factor
-
-
-@functools.lru_cache(maxsize=64)
-def _input_cells(n: int) -> np.ndarray:
-    """The flat indices of the x cells and then of the p cells of :func:`input_factors` in a (2n, 2n) factor."""
-    width = 2 * n
-    return _read_only(np.array([j * width + 2 * j for j in range(n)] + [(n + j) * width + 2 * j + 1 for j in range(n)]))
+    n = len(squeezing_db)
+    factor = np.zeros((2 * n, 2 * n))
+    for j, (s, a) in enumerate(zip(squeezing_db, antisqueezing_db)):
+        factor[j, 2 * j] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (a / 10.0))
+        factor[n + j, 2 * j + 1] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (s / 10.0))
+    return GaussianState(cov_factor=factor)
 
 
 def tensor(states: list[GaussianState]) -> GaussianState:
@@ -351,89 +303,41 @@ def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianStat
     """Propagate a state through a passive network: F -> S F."""
     if unitary.n_modes != state.n_modes:
         raise ValueError(f"unitary acts on {unitary.n_modes} modes but state has {state.n_modes}")
-    return GaussianState(cov_factor=network_factors(state.cov_factor[None], unitary)[0])
-
-
-def network_factors(factor: np.ndarray, unitary: ComplexUnitary) -> np.ndarray:
-    """:func:`apply_unitary` on a (k, 2n, m) stack of factors: each F_i -> S F_i, one matrix product per point."""
-    return np.matmul(unitary.symplectic, factor)
+    return GaussianState(cov_factor=unitary.symplectic @ state.cov_factor)
 
 
 def _mode_channels(factor: np.ndarray, modes: tuple[int, ...], gains, noises) -> np.ndarray:
-    """Scale each mode's rows by its gain and append its 2 x 2 noise factor, on a (k, 2n, m) stack.
+    """Scale the rows of mode modes[j] (checked, 1-based) by gains[j] and append its 2 x 2 noise factor.
 
-    Point i scales the rows of mode modes[j] by gains[i][j] and appends two
-    columns holding the lower triangular noise factor noises[i][j] =
-    (a, b, c): (a, 0) in the mode's x row and (b, c) in its p row.  A
-    channel touches only its mode's rows, from which its noise is computed,
-    and its own new columns; so for distinct modes one pass equals the
-    chained one-mode channels, bit for bit.  `modes` are checked 1-based
-    indices.
+    noises[j] = (a, b, c) fills two new columns, (a, 0) in the mode's x row
+    and (b, c) in its p row.  A channel touches only its mode's rows, so for
+    distinct modes one pass equals the chained one-mode channels, bit for bit.
     """
-    k, rows, m = factor.shape
+    rows, m = factor.shape
     n = rows // 2
-    out = np.zeros((k, rows, m + 2 * len(modes)))
-    scales = []
-    for i, (point_gains, point_noises) in enumerate(zip(gains, noises)):
-        scale = [1.0] * rows
-        for col, mode, gain, (a, b, c) in zip(range(m, out.shape[2], 2), modes, point_gains, point_noises):
-            scale[mode - 1] = scale[n + mode - 1] = gain
-            out[i, mode - 1, col] = a
-            out[i, n + mode - 1, col] = b
-            out[i, n + mode - 1, col + 1] = c
-        scales.append(scale)
-    np.multiply(np.array(scales)[:, :, None], factor, out=out[:, :, :m])
+    out = np.zeros((rows, m + 2 * len(modes)))
+    scale = [1.0] * rows
+    for col, mode, gain, (a, b, c) in zip(range(m, out.shape[1], 2), modes, gains, noises):
+        scale[mode - 1] = scale[n + mode - 1] = gain
+        out[mode - 1, col] = a
+        out[n + mode - 1, col] = b
+        out[n + mode - 1, col + 1] = c
+    np.multiply(np.array(scale)[:, None], factor, out=out[:, :m])
     return out
-
-
-def _mode_channels_array(factor: np.ndarray, modes: tuple[int, ...], gains: np.ndarray, noises) -> np.ndarray:
-    """:func:`_mode_channels` in array form: (k, J) `gains` and `noises` = (a, b, c), each (k, J) or a float."""
-    k, rows, m = factor.shape
-    out = np.zeros((k, rows, m + 2 * len(modes)))
-    x_rows, p_rows = _mode_rows(rows // 2, modes).T
-    scale = np.ones((k, rows))
-    scale[:, x_rows] = gains
-    scale[:, p_rows] = gains
-    np.multiply(scale[:, :, None], factor, out=out[:, :, :m])
-    flat = out.reshape(k, -1)
-    for cells, values in zip(_noise_cells(rows, m, modes), noises):
-        flat[:, cells] = values
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _noise_cells(rows: int, m: int, modes: tuple[int, ...]) -> np.ndarray:
-    """The (3, J) flat indices of each mode's a, b and c noise cells in a (rows, m + 2J) :func:`_mode_channels` output."""
-    width = m + 2 * len(modes)
-    x_rows, p_rows = _mode_rows(rows // 2, modes).T
-    cols = np.arange(m, width, 2)
-    return _read_only(np.array([x_rows * width + cols, p_rows * width + cols, p_rows * width + cols + 1]))
 
 
 def lossy_channels(state: GaussianState, etas: dict[int, float]) -> GaussianState:
     """:func:`lossy_channel` on every mode of `etas` (1-based mode -> eta), in one pass."""
     n = state.n_modes
-    modes = [_checked_mode(mode, n) for mode in etas]
+    modes = tuple(_checked_mode(mode, n) for mode in etas)
     for eta in etas.values():
         if not (0.0 <= eta <= 1.0):
             raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     if not modes:
         return state
-    return GaussianState(cov_factor=loss_factors(state.cov_factor[None], tuple(modes), [list(etas.values())])[0])
-
-
-def loss_factors(factor: np.ndarray, modes: tuple[int, ...], etas) -> np.ndarray:
-    """:func:`lossy_channels` on a (k, 2n, m) stack: point i has transmissivity etas[i][j] on mode modes[j].
-
-    `modes` must be checked and nonempty; transmissivities go unchecked.
-    """
-    if len(etas) < ARRAY_FORM_MIN_POINTS:
-        gains = [[math.sqrt(eta) for eta in row] for row in etas]
-        vacua = [[math.sqrt((1.0 - eta) * VACUUM_VARIANCE) for eta in row] for row in etas]
-        return _mode_channels(factor, modes, gains, [[(v, 0.0, v) for v in row] for row in vacua])
-    etas = np.array(etas, dtype=float)
-    vacua = np.sqrt((1.0 - etas) * VACUUM_VARIANCE)
-    return _mode_channels_array(factor, modes, np.sqrt(etas), (vacua, 0.0, vacua))
+    vacua = [math.sqrt((1.0 - eta) * VACUUM_VARIANCE) for eta in etas.values()]
+    gains = [math.sqrt(eta) for eta in etas.values()]
+    return GaussianState(cov_factor=_mode_channels(state.cov_factor, modes, gains, [(v, 0.0, v) for v in vacua]))
 
 
 def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -450,12 +354,6 @@ def lossy_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
         eta: transmissivity in [0, 1].
     """
     return lossy_channels(state, {mode: eta})
-
-
-@functools.lru_cache(maxsize=64)
-def _mode_rows(n: int, modes: tuple[int, ...]) -> np.ndarray:
-    """The (J, 2) indices of the x and p rows of each of `modes` (checked, 1-based) in a 2n-row factor, built once."""
-    return _read_only(np.array([(mode - 1, n + mode - 1) for mode in modes]))
 
 
 def _rotation_noise(gram, vcc: float, vss: float) -> tuple[float, float, float]:
@@ -477,22 +375,6 @@ def _rotation_noise(gram, vcc: float, vss: float) -> tuple[float, float, float]:
     return lxx, lpx, lpp
 
 
-def _rotation_noises(grams: np.ndarray, vcc: np.ndarray, vss: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_rotation_noise` in array form: (..., 2, 2) `grams` and (...) moments give (...) lxx, lpx and lpp.
-
-    The same operations in the same order, so the same bits.  No noise term
-    can be -0.0, the one input on which the clip and Python's `max` differ.
-    """
-    gxx, gxp, gpp = grams[..., 0, 0], grams[..., 0, 1], grams[..., 1, 1]
-    nxx = vcc * gxx + vss * gpp
-    npp = vcc * gpp + vss * gxx
-    nxp = (vcc - vss) * gxp
-    lxx = np.sqrt(np.maximum(nxx, 0.0))
-    lpx = np.divide(nxp, lxx, out=np.zeros_like(nxp), where=lxx > 0.0)
-    lpp = np.sqrt(np.maximum(npp - lpx * lpx, 0.0))
-    return lxx, lpx, lpp
-
-
 def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianState:
     """:func:`phase_jitter` on every mode of `sigmas` (1-based mode -> sigma), in one pass."""
     n = state.n_modes
@@ -503,25 +385,12 @@ def phase_jitters(state: GaussianState, sigmas: dict[int, float]) -> GaussianSta
     jittered = {mode: sigma for mode, sigma in zip(modes, sigmas.values()) if sigma > 0.0}
     if not jittered:
         return state
-    factor = jitter_factors(state.cov_factor[None], tuple(jittered), [list(jittered.values())])
-    return GaussianState(cov_factor=factor[0])
-
-
-def jitter_factors(factor: np.ndarray, modes: tuple[int, ...], sigmas) -> np.ndarray:
-    """:func:`phase_jitters` on a (k, 2n, m) stack: point i has sigma sigmas[i][j] > 0 on mode modes[j].
-
-    `modes` must be checked and nonempty; sigmas go unchecked.
-    """
-    block = factor.take(_mode_rows(factor.shape[1] // 2, modes), axis=1)  # (k, J, 2, m)
-    grams = block @ block.swapaxes(2, 3)
-    del block  # as large as the factor
-    if len(sigmas) < ARRAY_FORM_MIN_POINTS:
-        moments = [[_jitter_moments(sigma) for sigma in row] for row in sigmas]
-        noises = [[_rotation_noise(gram, vcc, vss) for gram, (vcc, vss, _) in zip(point_grams, row)]
-                  for point_grams, row in zip(grams.tolist(), moments)]
-        return _mode_channels(factor, modes, [[gain for _, _, gain in row] for row in moments], noises)
-    vcc, vss, gains = _per_value(_jitter_moments, np.array(sigmas, dtype=float)).transpose(2, 0, 1)
-    return _mode_channels_array(factor, modes, gains, _rotation_noises(grams, vcc, vss))
+    factor = state.cov_factor
+    block = factor[[(mode - 1, n + mode - 1) for mode in jittered]]  # (J, 2, m)
+    grams = (block @ block.transpose(0, 2, 1)).tolist()
+    moments = [_jitter_moments(sigma) for sigma in jittered.values()]
+    noises = [_rotation_noise(gram, vcc, vss) for gram, (vcc, vss, _) in zip(grams, moments)]
+    return GaussianState(cov_factor=_mode_channels(factor, tuple(jittered), [gain for *_, gain in moments], noises))
 
 
 def _jitter_moments(sigma: float) -> tuple[float, float, float]:
@@ -560,20 +429,136 @@ def combination_variance(state: GaussianState, coeffs: np.ndarray) -> float:
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (2 * state.n_modes,):
         raise ValueError(f"coefficient vector has length {c.size}, expected {2 * state.n_modes}")
-    return float(combination_variances(state.cov_factor[None], c[None])[0, 0])
+    return float(combination_variances(state.cov_factor, c[None])[0])
 
 
 def combination_variances(factor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """:func:`combination_variance` of each row c_j of a (J, 2n) `coeffs` on a (k, 2n, m) stack: (k, J) variances.
+    """:func:`combination_variance` of each row c_j of a (J, 2n) `coeffs` on a (2n, m) factor: (J,) variances.
 
-    w = c_j^T F_i is one vector-matrix product per point and row, and its
-    square sum w . w one dot; both round as the k = 1 call does.  One matrix
-    product C F_i per point would be faster, but it sums the terms of a
-    combination in another order, and rounds differently once a combination
-    has more than a few terms (dense graphs from 8 modes up).
+    w = c_j^T F is one vector-matrix product per row, and w . w one dot, so
+    each row rounds as it does alone (one product C F would not, on dense
+    graphs from 8 modes up).
     """
-    w = np.matmul(coeffs[None, :, None, :], factor[:, None])[..., 0, :]  # (k, J, m)
-    return np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
+    w = np.matmul(coeffs[:, None, :], factor)  # (J, 1, m)
+    return np.matmul(w, w.transpose(0, 2, 1))[:, 0, 0]
+
+
+class InputFrame:
+    """Variances of fixed combinations of a network's outputs, measured in the network's input frame.
+
+    Built once from the network's quadrature matrix S and (R, 2n) rows c,
+    each +-1 on at most one quadrature per mode.  With output gains g_m
+    (sqrt(eta_m) c1_m for loss after the network, else the jitter gain
+    c1_m = e^{-sigma_m^2/2}) and P_m = S^T c_m, a row's variance is
+    sum_j V_j u_j^2 + sum_m [(1 - eta_m)/4 c1_m^2 + c_m^T N_m c_m], with
+    u = sum_m g_m P_m, V the input variances (after loss before the network),
+    the loss term for loss after it, and N_m the jitter noise of
+    :func:`phase_jitter`, of which a row reads the diagonal.  The paper's
+    nullifiers hold no antisqueezed input: at equal gains their antisqueezed
+    weights in S^T c cancel exactly.  So u_j = g_r (S^T c)_j + sum_m
+    (g_m - g_r) P_mj, with S^T c correctly rounded by `math.fsum` (the P_mj
+    are exact), r the mode of the largest |P_mj|, and each g_m - g_r formed
+    from the transmissivities and sigmas, never from rounded gains.
+
+    `terms` holds each row's S^T c, then its P_m over the row's modes, and
+    `picks` the entry of a point's gain table that scales each: g_r at r, 0
+    at n, and g_m - g_q at n + 1 + i for the i-th mode pair m < q (the part
+    is negated where it takes g_q - g_m).  `point_bytes` bounds what one
+    point adds to a pass.  The last 16 jitters, losses and (loss, jitter)
+    pairs keep their scalars: a sweep moves one field, and lossless or
+    jitter-free scenarios share theirs.
+    """
+
+    def __init__(self, symplectic: np.ndarray, rows: np.ndarray):
+        n = len(symplectic) // 2
+        row_of, quads = np.nonzero(rows)  # one (row, quadrature) per mode of each row, in row order
+        modes = quads % n
+        parts = rows[row_of, quads][:, None] * symplectic[quads]  # (K, 2n)
+        starts = np.searchsorted(row_of, np.arange(len(rows)))
+        spans = [(a, b, modes[a:b].tolist()) for a, b in zip(starts.tolist(), starts[1:].tolist() + [len(quads)])]
+        refs = [[support[i] for i in np.abs(parts[a:b]).argmax(axis=0).tolist()] for a, b, support in spans]
+        pairs = sorted({(min(m, r), max(m, r)) for (*_, ms), rs in zip(spans, refs) for m in ms for r in rs if m != r})
+        index = {pair: (n + 1 + i, 1.0) for i, pair in enumerate(pairs)}
+        index.update({(q, m): (n + 1 + i, -1.0) for i, (m, q) in enumerate(pairs)})  # g_q - g_m = -(g_m - g_q)
+        terms, picks = [], []
+        for (a, b, support), ref in zip(spans, refs):
+            steps = [[index.get((m, r), (n, 1.0)) for r in ref] for m in support]
+            terms += [[math.fsum(col) for col in parts[a:b].T.tolist()]]
+            terms += [[sign * x for (_, sign), x in zip(row, part)] for row, part in zip(steps, parts[a:b].tolist())]
+            picks += [ref, *([i for i, _ in row] for row in steps)]
+        self.n = n
+        self.pairs = tuple(pairs)
+        self.starts = _read_only(starts)
+        self.quads = _read_only(quads)
+        self.swap = _read_only(np.roll(np.arange(2 * n), n))  # x_m <-> p_m
+        self.halves = _read_only(np.arange(2 * n) % n)  # each quadrature's mode
+        self.term_starts = _read_only(starts + np.arange(len(rows)))
+        self.terms = _read_only(np.array(terms))
+        self.picks = _read_only(np.array(picks))
+        self.squares = _read_only(symplectic * symplectic)
+        self.point_bytes = 8 * (3 * self.terms.size + symplectic.size + 12 * n + len(pairs))
+        for name in ("_jitter_terms", "_loss_terms", "_gains"):
+            setattr(self, name, functools.lru_cache(maxsize=16)(getattr(self, name)))
+
+    def _jitter_terms(self, jitter: tuple) -> tuple:
+        """Per mode E[dc^2], E[ds^2] and c1 (:func:`_jitter_moments`), and c1_m - c1_q for each of `pairs`."""
+        moments = {sigma: _jitter_moments(sigma) for sigma in set(jitter)}
+        vcc, vss, c1 = zip(*map(moments.get, jitter))
+        s = [min(sigma, 1e100) for sigma in jitter]  # c1 is 0 far below where sigma^2 overflows
+        # c1_m - c1_q = max(c1_m, c1_q) (e^x - 1 if x <= 0 else 1 - e^-x), x = sigma_q^2/2 - sigma_m^2/2
+        xs = [(s[q] - s[m]) * (s[q] + s[m]) * 0.5 for m, q in self.pairs]
+        return vcc, vss, c1, [max(c1[m], c1[q]) * math.copysign(math.expm1(-abs(x)), x) if x else 0.0
+                              for (m, q), x in zip(self.pairs, xs)]
+
+    def _loss_terms(self, loss: tuple, post: bool) -> tuple:
+        """Per mode eta, (1 - eta)/4 and sqrt(eta) (1, 0, 1 before the network), and each pair's eta step."""
+        etas = loss if post else (1.0,) * self.n
+        vacua = [(1.0 - eta) * VACUUM_VARIANCE for eta in etas]
+        roots = [math.sqrt(eta) for eta in etas]
+        return etas, vacua, roots, [(etas[m] - etas[q]) / (roots[m] + roots[q]) if etas[m] != etas[q] else 0.0
+                                    for m, q in self.pairs]
+
+    def _gains(self, loss: tuple, jitter: tuple, post: bool) -> tuple:
+        """A point's gain table, then per mode the alpha, beta and gamma of its jitter and loss noise
+        alpha G + beta J G J^T + gamma, G the mode's block after the network."""
+        etas, vacua, roots, ratios = self._loss_terms(loss, post)
+        vcc, vss, c1, c1_steps = self._jitter_terms(jitter)
+        # g_m - g_q = (eta_m - eta_q) / (sqrt eta_m + sqrt eta_q) c1_m + sqrt eta_q (c1_m - c1_q); g_q - g_m negates it
+        steps = [ratio * c1[m] + roots[q] * c1_step for (m, q), ratio, c1_step in zip(self.pairs, ratios, c1_steps)]
+        gains = [root * gain for root, gain in zip(roots, c1)]
+        alpha = [x * eta for x, eta in zip(vcc, etas)]
+        beta = [x * eta for x, eta in zip(vss, etas)]
+        gamma = [(x + y) * b + b * c * c for x, y, b, c in zip(vcc, vss, vacua, c1)]
+        return (*gains, 0.0, *steps, *alpha, *beta, *gamma)
+
+    def variances(self, levels, loss, jitter, post: bool) -> np.ndarray:
+        """The (k, R) row variances of k points, each a row of the (k, 2n) `levels` and (k, n) `loss` and `jitter`.
+
+        A point's levels are its antisqueezing, then its squeezing levels in
+        dB, and its loss acts after the network if `post`; nothing is checked.
+        Its scalars are Python floats of the point alone, whatever the pass.
+        """
+        n, k = self.n, len(loss)
+        flat = []
+        for point_levels, point_loss, point_jitter in zip(levels, loss, jitter):
+            v = [VACUUM_VARIANCE * 10.0 ** (level / 10.0) for level in point_levels]
+            if not post:
+                v = [eta * x + (1.0 - eta) * VACUUM_VARIANCE for eta, x in zip(point_loss + point_loss, v)]
+            flat += v
+            flat += self._gains(point_loss, point_jitter, post)
+        values = np.array(flat).reshape(k, -1)
+        width, noise_at = 2 * n, values.shape[1] - 3 * n
+        v = values[:, :width]
+        u = np.add.reduceat(values[:, width:noise_at].take(self.picks, axis=1) * self.terms, self.term_starts, axis=1)
+        u *= np.sqrt(v).reshape(k, 1, width)
+        variances = (u * u).sum(axis=2)
+        alpha, beta, noise = values[:, noise_at:].reshape(k, 3, n).take(self.halves, axis=2).transpose(1, 0, 2)
+        if beta.any():  # jitter; without it alpha is 0 too
+            gram = (v.reshape(k, 1, width) * self.squares).sum(axis=2)  # each output quadrature's variance
+            noise = alpha * gram + beta * gram.take(self.swap, axis=1) + noise
+        if noise.any():  # a zero noise would add nothing
+            variances += np.add.reduceat(noise.take(self.quads, axis=1), self.starts, axis=1)
+        return variances
 
 
 def variance_to_db(v: float, v_ref: float) -> float:

@@ -6,6 +6,8 @@ per-mode loss and phase jitter, and the requested outputs.  Reports carry both
 machine precision (JSON, full float precision) and a human rendering
 (variances to 3 decimals, dB levels to 1, witness sums to 2).
 
+A run builds no state: an `InputFrame` of the network and graph measures a
+sweep in passes of consecutive points, and a scenario as a pass of one.
 Runs are deterministic: identical configs produce byte-identical JSON.
 """
 
@@ -26,21 +28,16 @@ from cvcluster.analysis import (
     WitnessReport,
     analytic_column,
     graph_by_name,
-    nullifier_variances,
-    witness_sums,
     witness_tested_on,
 )
 from cvcluster.gaussian import (
     LEVEL_LIMIT_DB,
     ComplexUnitary,
+    InputFrame,
     apply_unitary,
     as_integer,
     impure_squeezed_inputs,
-    input_factors,
     is_real,
-    jitter_factors,
-    loss_factors,
-    network_factors,
     squeezing_db_to_r,
 )
 from cvcluster.networks import (
@@ -549,71 +546,36 @@ class ScenarioReport:
         return self.to_json() if self.config.output_format == "json" else self.to_text()
 
 
-# Most bytes of final factors one propagation pass stacks.  A 4-mode point with
-# loss and jitter on every mode takes 1.5 KiB, so a 200-point sweep is one
-# pass; a 64-mode one takes 384 KiB, and 10 000 of them stacked would take 3.9 GB.
+# Most bytes of arrays one measurement pass holds, `InputFrame.point_bytes` a point: 3.5 KiB
+# on linear4, and 0.9 MiB on a 64-mode chain graph, so 10 000 of those at once would take 9 GB.
 STACK_BYTES = 4 * 2**20
 
 
-def _layout(cfg: ScenarioConfig) -> tuple:
-    """A point's column layout: its loss placement, lossy modes (eta < 1) and jittered modes (sigma > 0)."""
-    return (
-        cfg.loss_placement,
-        tuple([mode for mode, eta in enumerate(cfg.loss, start=1) if eta < 1.0]),
-        tuple([mode for mode, sigma in enumerate(cfg.jitter, start=1) if sigma > 0.0]),
-    )
+@functools.lru_cache(maxsize=NETWORK_CACHE_SIZE)
+def _frame(unitary: ComplexUnitary, graph: GraphSpec) -> InputFrame:
+    """The input frame of the rows that measure `graph` (`GraphSpec.measured_rows`) on `unitary`, built once."""
+    return InputFrame(unitary.symplectic, graph.measured_rows[0])
 
 
-def _stack(points, layout: tuple, unitary: ComplexUnitary) -> np.ndarray:
-    """The (k, 2n, m) final factors of `points`, which share `layout`: inputs, loss, network and jitter in one pass."""
-    placement, lossy, jittered = layout
-    factor = input_factors([p.squeezing_db for p in points], [p.antisqueezing_db for p in points])
-    if lossy and placement == "pre":
-        factor = loss_factors(factor, lossy, [[p.loss[mode - 1] for mode in lossy] for p in points])
-    factor = network_factors(factor, unitary)
-    if lossy and placement == "post":
-        factor = loss_factors(factor, lossy, [[p.loss[mode - 1] for mode in lossy] for p in points])
-    if jittered:
-        factor = jitter_factors(factor, jittered, [[p.jitter[mode - 1] for mode in jittered] for p in points])
-    return factor
+def _measure(points, network: tuple) -> list[tuple]:
+    """Each config's (nullifier variances, witness sums, analytic column), one `InputFrame` pass for all.
 
-
-def _propagate(points, unitary: ComplexUnitary):
-    """Yield (indices, stack) pass by pass: the (k, 2n, m) final factors of the configs of `points` at `indices`.
-
-    Points with the same layout (`_layout`) go through each stage together,
-    as one stack, at most STACK_BYTES of final factors at a time.  Groups
-    come in order of their first point, and points in grid order within a
-    group.  Each factor is bit for bit the one the chained state functions
-    give the point alone.
+    The points share `network`, `_resolve_network`'s (unitary, graph), and
+    their loss placement.  The lists are all None without a graph, and the
+    last two None on a custom graph.
     """
-    groups = {}
-    for i, cfg in enumerate(points):
-        groups.setdefault(_layout(cfg), []).append(i)
-    rows = 2 * unitary.n_modes
-    for layout, members in groups.items():
-        _, lossy, jittered = layout
-        per_pass = max(1, STACK_BYTES // (8 * rows * (rows + 2 * len(lossy) + 2 * len(jittered))))
-        for start in range(0, len(members), per_pass):
-            indices = members[start:start + per_pass]
-            yield indices, _stack([points[i] for i in indices], layout, unitary)
-
-
-def _measure(points, stack: np.ndarray, graph: GraphSpec | None) -> list[tuple]:
-    """Each config's measurement from the (k, 2n, m) stack of their final factors, one kernel call per quantity.
-
-    A point's row is (nullifier variances, witness sums, analytic column),
-    lists or None: all None without a graph, and the last two None on a
-    custom graph.  The stack must be finite, as a state's factor must.
-    """
-    if not np.isfinite(stack).all():
-        raise ValueError("cov_factor must be finite")
+    unitary, graph = network
+    k = len(points)
     if graph is None:
-        return [(None, None, None)] * len(points)
-    variances = nullifier_variances(stack, graph)
-    lhs = witness_sums(stack, graph, variances).tolist() if witness_tested_on(graph) else [None] * len(points)
-    analytic = analytic_column(graph, [p.squeezing_r for p in points]) or [None] * len(points)
-    return list(zip(variances.tolist(), lhs, analytic))
+        return [(None, None, None)] * k
+    variances = _frame(unitary, graph).variances(
+        [p.antisqueezing_db + p.squeezing_db for p in points], [p.loss for p in points],
+        [p.jitter for p in points], points[0].loss_placement == "post",
+    )
+    pairs = graph.measured_rows[1]
+    lhs = [None] * k if pairs is None else (variances.take(pairs[0], 1) + variances.take(pairs[1], 1)).tolist()
+    analytic = analytic_column(graph, [p.squeezing_r for p in points]) or [None] * k
+    return list(zip(variances[:, :graph.n_nodes].tolist(), lhs, analytic))
 
 
 def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> ScenarioReport:
@@ -621,25 +583,19 @@ def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> Scenario
 
     Loss is applied per mode before or after the network according to
     `loss_placement`; phase jitter always acts on the network outputs, in
-    closed form.  The run is deterministic.  The state is propagated and
-    measured as a stack of one point.  `run_sweep` passes `_network`, the
-    (unitary, graph) pair `_resolve_network` gives for `cfg`, so that a
+    closed form.  The run is deterministic, and measured by `_measure` as a
+    pass of one point; no state is built.  `run_sweep` passes `_network`,
+    the (unitary, graph) pair `_resolve_network` gives for `cfg`, so that a
     sweep resolves its network once, and `_measured`, the point's row of its
-    pass's `_measure`, so that only the report is built per point.
+    pass, so that only the report is built per point.
     """
-    unitary, graph = _resolve_network(cfg) if _network is None else _network
-    if _measured is None:
-        _measured = _measure([cfg], _stack([cfg], _layout(cfg), unitary), graph)[0]
-    variances, lhs, analytic = _measured
+    network = _resolve_network(cfg) if _network is None else _network
+    variances, lhs, analytic = _measure([cfg], network)[0] if _measured is None else _measured
+    graph = network[1]
     nullifiers = None if variances is None else NullifierReport.for_graph(graph, variances, analytic)
     witness = None if lhs is None else WitnessReport.for_graph(graph, lhs)
     decompositions = verify_decompositions() if cfg.verify_decompositions else None
-    return ScenarioReport(
-        config=cfg,
-        nullifiers=nullifiers,
-        witness=witness,
-        decompositions=decompositions,
-    )
+    return ScenarioReport(cfg, nullifiers, witness, decompositions)
 
 
 SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
@@ -647,10 +603,9 @@ SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 # Largest accepted sweep `steps`.  The sweep keeps a report per grid point, so
 # the flag alone would otherwise set the time and memory a run asks for: 10^13
 # steps failed to allocate the grid array itself.  10 000 is 50x a 200-point
-# sweep: 0.4-0.5 s for a loss sweep of `measured_gap`, loss and jitter on four
-# modes (one core of a 2-vCPU host), keeping 18 MiB of reports.  Propagation
-# and measurement add about twice STACK_BYTES on top, however many points and
-# modes the sweep has.
+# sweep: 0.5-0.7 s for a loss sweep of `measured_gap`, loss and jitter on four
+# modes (one core of a 2-vCPU host), keeping 18 MiB of reports.  Measurement
+# adds at most STACK_BYTES on top, however many points and modes it has.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -702,11 +657,10 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     When sweeping `squeezing_db`, modes that were configured pure (dB levels
     mirrored) stay pure along the sweep; explicitly impure modes keep their
     configured antisqueezing.  Rows are ordered by grid index.  The points
-    are propagated and measured together, in stacked passes of one column
-    layout and at most STACK_BYTES each; no point builds a state.  A pass's
-    factors are dropped once measured, before the next pass is propagated,
-    and each point's report is built by `run_scenario` from its row of the
-    pass's measurements.
+    are measured together, in passes of consecutive points that hold at
+    most STACK_BYTES each; no point builds a state, and a point measures
+    as it does alone.  Each point's report is built by `run_scenario` from
+    its row of the pass's measurements.
 
     Args:
         cfg: base configuration.
@@ -724,15 +678,14 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         raise ConfigError("steps", f"{steps} grid points exceed the cap of {MAX_SWEEP_STEPS}")
     if not math.isfinite(stop - start):
         raise ConfigError("start", f"sweep bounds must be finite with a finite span, got {start!r} to {stop!r}")
-    unitary, graph = network = _resolve_network(cfg)
-    if graph is None:
+    network = _resolve_network(cfg)
+    if network[1] is None:
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
     points = [cfg._sweep_point(axis, value) for value in values]
-    reports = [None] * steps
-    for indices, stack in _propagate(points, unitary):
-        rows = _measure([points[i] for i in indices], stack, graph)
-        del stack  # before the next pass is propagated
-        for i, row in zip(indices, rows):
-            reports[i] = run_scenario(points[i], network, row)
+    per_pass = max(1, STACK_BYTES // _frame(*network).point_bytes)
+    reports = []
+    for first in range(0, steps, per_pass):
+        chunk = points[first:first + per_pass]
+        reports += [run_scenario(point, network, row) for point, row in zip(chunk, _measure(chunk, network))]
     return SweepResult(axis=axis, values=values, reports=tuple(reports))

@@ -23,12 +23,15 @@ from cvcluster.analysis import (
 )
 from cvcluster.gaussian import (
     apply_unitary,
+    combination_variances,
     lossy_channel,
     phase_jitter,
     squeezing_db_to_r,
     vacuum,
     variance_to_db,
 )
+
+from cvcluster.networks import linear_to_square_phases
 
 from helpers import (
     NETWORKS,
@@ -263,15 +266,21 @@ class TestFullInseparabilityVerdict:
         assert square_report.lhs_values == pytest.approx(linear_report.lhs_values, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
-    def test_reused_nullifier_variances_give_the_same_verdict(self, name):
+    def test_witness_sums_add_pairs_of_the_measured_rows(self, name):
         make_unitary, make_graph = NETWORKS[name]
         state = apply_unitary(impure_inputs([-5.5, -6.3, -5.8, -6.0], [9.1, 11.9, 10.5, 11.2]), make_unitary())
         state = phase_jitter(lossy_channel(state, 2, 0.9), 3, 0.05)
-        graph, stack = make_graph(), state.cov_factor[None]
-        # a sweep pass hands witness_sums the variances it has measured already
-        reused = witness_sums(stack, graph, nullifier_variances(stack, graph))
-        assert reused.tobytes() == witness_sums(stack, graph).tobytes()
-        assert reused[0].tolist() == list(full_inseparability_verdict(state, graph).lhs_values)
+        graph = make_graph()
+        rows, (first, second) = graph.measured_rows
+        variances = combination_variances(state.cov_factor, rows)
+        assert variances[:4].tolist() == nullifier_variances(state.cov_factor, graph).tolist()
+        lhs = witness_sums(state.cov_factor, graph)
+        assert lhs.tolist() == (variances[first] + variances[second]).tolist()
+        assert lhs.tolist() == list(full_inseparability_verdict(state, graph).lhs_values)
+        if name == "square4":
+            # the linear4 rows pulled back through the local phases measure the state with the phases undone
+            linear_state = apply_unitary(state, linear_to_square_phases().adjoint())
+            assert variances[4:] == pytest.approx(nullifier_variances(linear_state.cov_factor, linear4()), rel=1e-15)
 
     def test_custom_graph_rejected(self):
         graph = GraphSpec(4, frozenset({(1, 2), (3, 4)}), "custom")

@@ -322,6 +322,21 @@ class TestPhaseJitter:
         assert out.cov[0, 0] == pytest.approx(mid, rel=1e-9)
         assert out.cov[1, 1] == pytest.approx(mid, rel=1e-9)
 
+    def test_the_noise_factor_clips_what_rounding_leaves_below_zero(self):
+        # the built-in networks leave each output mode's x and p uncorrelated, and the noise Cholesky then has
+        # nothing to clip; a rotated deep-squeezed mode makes it clip, its noise being singular to rounding
+        clipped = []
+        for phi in np.linspace(0.0, np.pi, 64):
+            factor = np.zeros((4, 4))
+            for mode, level in ((0, LEVEL_LIMIT_DB), (1, 30.0)):
+                rotation = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+                amplitudes = np.sqrt(0.25 * 10.0 ** (np.array([level, -level]) / 10.0))
+                factor[np.ix_([mode, 2 + mode], [2 * mode, 2 * mode + 1])] = rotation * amplitudes
+            out = phase_jitters(GaussianState(cov_factor=factor), {1: 1e-8, 2: 3.0}).cov_factor
+            assert np.isfinite(out).all()
+            clipped.append(out[2, 5] == 0.0)  # mode 1's lpp
+        assert any(clipped) and not all(clipped)
+
     def test_small_sigma_interpolates(self):
         state = squeezed_vacuum(squeezing_db_to_r(-6.0))
         out = phase_jitter(state, 1, 0.1)

@@ -8,14 +8,16 @@ regenerates them with
 
 and explains in CHANGES.md which outputs moved and why; it also rewrites
 `linear4.net`, the netlist of the linear-cluster factor program.  Netlist runs
-are pinned through a sweep, whose CSV carries no file path.  Each JSON
-`simulate` file must also read back through `ScenarioReport.from_dict` to the
-same bytes.
+are pinned through a sweep, whose CSV carries no file path, and through a JSON
+report that names `linear4.net` relative to the repository root, where every
+case runs.  Each JSON `simulate` file must also read back through
+`ScenarioReport.from_dict` to the same bytes.
 """
 
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,9 +79,15 @@ CASES = {
         "--axis", "squeezing_db", "--from", "-11", "--to", "0", "--steps", "23",
     ],
     "linear4_edge_jitter_sweep.csv": [
-        # a deep mode, eta 0 and 1 - 1e-9, and sigma up to 3: the channel kernels' edges, on a stacked pass
+        # a deep mode, eta 0 and 1 - 1e-9, and sigma up to 3: the channel edges, in one measurement pass
         "sweep", "--network", "linear4", "--squeezing-db=-5.5,-30,-5.8,-6.0", "--antisqueezing-db=9.1,33,10.5,11.2",
         "--loss=0.9,0,0.95,0.999999999", "--axis", "jitter", "--from", "0", "--to", "3", "--steps", "31",
+    ],
+    "linear4_netlist_deep.json": [
+        # a netlist's rounded factors leave the antisqueezed inputs in its nullifiers: 1.03 dB of error at -300 dB
+        # for a forward factor, none in the input frame
+        "simulate", "--network", str(LINEAR_NETLIST.relative_to(ROOT)), "--graph-edges", "1-2,2-3,3-4",
+        "--squeezing-db=-300", "--format", "json",
     ],
     "linear4_netlist_sweep.csv": [
         "sweep", "--network", str(LINEAR_NETLIST), "--graph-edges", "1-2,2-3,3-4", *IMPERFECT,
@@ -94,8 +102,13 @@ JSON_REPORTS = sorted(name for name, argv in CASES.items() if argv[0] == "simula
 
 def cli_stdout(argv) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
     assert code == EXIT_OK, (argv, code)
     return out.getvalue()
 

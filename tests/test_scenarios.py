@@ -593,7 +593,7 @@ class TestNetworkCache:
         for k, edges in enumerate(edge_sets):
             path.write_text(f"# variant {k}\n{text}")
             run_scenario(ScenarioConfig(str(path), squeezing_db=-6.0, graph_edges=edges))
-        for cached in (networks._netlist_unitary, scenarios._custom_graph):
+        for cached in (networks._netlist_unitary, scenarios._custom_graph, scenarios._frame):
             info = cached.cache_info()
             assert info.maxsize == scenarios.NETWORK_CACHE_SIZE
             assert info.currsize == scenarios.NETWORK_CACHE_SIZE
