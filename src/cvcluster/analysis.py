@@ -157,35 +157,48 @@ class NullifierEntry:
 
 @dataclass(frozen=True)
 class NullifierReport:
-    """Per-node nullifier variances with dB levels against the vacuum reference."""
+    """Per-node nullifier variances with dB levels against the vacuum reference.
 
-    graph_name: str
-    entries: tuple[NullifierEntry, ...]
+    A report stores what a run measures, one variance per node in node
+    order, with its graph and the input squeezing parameters; the entries,
+    the dB levels and the graph name are derived when they are read.
+    """
+
+    graph: GraphSpec
+    variances: tuple[float, ...]
+    squeezing_r: tuple[float, ...] | None = None
 
     @classmethod
-    def for_graph(cls, graph: GraphSpec, variances, analytic=None) -> NullifierReport:
+    def for_graph(cls, graph: GraphSpec, variances, squeezing_r=None) -> NullifierReport:
         """The report of one variance per node of `graph`, in node order.
 
         The reference of node a is its vacuum-input variance (1 + |N(a)|)/4.
-        `analytic`, the graph's :func:`analytic_column` for the inputs, fills
-        the closed-form expectation column; None leaves it empty.
+        `squeezing_r`, the four input squeezing parameters of a built-in
+        graph, gives the closed-form expectation column
+        (:func:`analytic_residual_variances`); None, or a custom graph,
+        leaves it empty.
         """
         if len(variances) != graph.n_nodes:
             raise ValueError(f"{len(variances)} variances for the {graph.n_nodes} nodes of graph {graph.name!r}")
-        if analytic is None:
-            analytic = [None] * graph.n_nodes
-        return cls(graph.name, tuple(
-            NullifierEntry(a, var, ref, ideal)
-            for a, (var, ref, ideal) in enumerate(zip(variances, graph.references, analytic), start=1)
-        ))
+        return cls(graph, tuple(variances), None if squeezing_r is None else tuple(squeezing_r))
 
     @property
-    def variances(self) -> tuple[float, ...]:
-        return tuple(e.variance for e in self.entries)
+    def graph_name(self) -> str:
+        return self.graph.name
+
+    @cached_property
+    def entries(self) -> tuple[NullifierEntry, ...]:
+        analytic = [None] * self.graph.n_nodes
+        if self.squeezing_r is not None and self.graph.name in NAMED_GRAPH_EDGES:
+            analytic = analytic_residual_variances(self.graph.name, self.squeezing_r).tolist()
+        return tuple(
+            NullifierEntry(a, var, ref, ideal)
+            for a, (var, ref, ideal) in enumerate(zip(self.variances, self.graph.references, analytic), start=1)
+        )
 
     @property
     def levels_db(self) -> tuple[float, ...]:
-        return tuple(e.level_db for e in self.entries)
+        return tuple(map(variance_to_db, self.variances, self.graph.references))
 
 
 def nullifier_report(
@@ -201,8 +214,7 @@ def nullifier_report(
         squeezing_r: optional input squeezing parameters (r_1 .. r_4) used
             for the analytic column; ignored for custom graphs.
     """
-    variances = nullifier_variances(state.cov_factor, graph).tolist()
-    return NullifierReport.for_graph(graph, variances, analytic_column(graph, squeezing_r))
+    return NullifierReport.for_graph(graph, nullifier_variances(state.cov_factor, graph).tolist(), squeezing_r)
 
 
 def _check_modes(factor: np.ndarray, graph: GraphSpec):
@@ -214,17 +226,6 @@ def nullifier_variances(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:
     """Every node's nullifier variance on a (2n, m) factor: (n,), node a's at index a - 1."""
     _check_modes(factor, graph)
     return combination_variances(factor, graph.coefficients)
-
-
-def analytic_column(graph: GraphSpec, squeezing_r):
-    """:func:`analytic_residual_variances` of a built-in graph as lists, a row per point of (k, 4) `squeezing_r`.
-
-    A (4,) `squeezing_r` gives one row, unnested.  None for a custom graph
-    or when `squeezing_r` is None.
-    """
-    if squeezing_r is None or graph.name not in NAMED_GRAPH_EDGES:
-        return None
-    return analytic_residual_variances(graph.name, squeezing_r).tolist()
 
 
 def analytic_residual_variances(kind: str, r) -> np.ndarray:
@@ -290,14 +291,14 @@ class WitnessInequality:
 class WitnessReport:
     """Outcome of the full-inseparability test: full inseparability holds when every inequality is satisfied.
 
-    `delegated_to` is set when the verdict was computed on a locally
-    equivalent graph (the square state inherits the linear-state
-    inequalities).
+    A report stores what a run measures, the sums in `WITNESS_PAIRS` order,
+    with its graph; the inequalities, the verdict and `delegated_to` (the
+    locally equivalent graph the verdict was computed on, as square4 inherits
+    the linear4 inequalities, or None) are derived when they are read.
     """
 
-    graph_name: str
-    inequalities: tuple[WitnessInequality, ...]
-    delegated_to: str | None = None
+    graph: GraphSpec
+    lhs_values: tuple[float, ...]
 
     @classmethod
     def for_graph(cls, graph: GraphSpec, lhs) -> WitnessReport:
@@ -313,19 +314,25 @@ class WitnessReport:
         pairs = WITNESS_PAIRS[tested]
         if len(lhs) != len(pairs):
             raise ValueError(f"{len(lhs)} sums for the {len(pairs)} inequalities of graph {graph.name!r}")
-        return cls(
-            graph_name=graph.name,
-            inequalities=tuple(WitnessInequality(f"node{a}+node{b}", x) for (a, b), x in zip(pairs, lhs)),
-            delegated_to=None if tested == graph.name else tested,
-        )
+        return cls(graph, tuple(lhs))
+
+    @property
+    def graph_name(self) -> str:
+        return self.graph.name
+
+    @property
+    def delegated_to(self) -> str | None:
+        tested = witness_tested_on(self.graph)
+        return None if tested == self.graph.name else tested
+
+    @cached_property
+    def inequalities(self) -> tuple[WitnessInequality, ...]:
+        pairs = WITNESS_PAIRS[witness_tested_on(self.graph)]
+        return tuple(WitnessInequality(f"node{a}+node{b}", x) for (a, b), x in zip(pairs, self.lhs_values))
 
     @property
     def fully_inseparable(self) -> bool:
-        return all(i.satisfied for i in self.inequalities)
-
-    @property
-    def lhs_values(self) -> tuple[float, ...]:
-        return tuple(i.lhs for i in self.inequalities)
+        return all(x < WitnessInequality.bound for x in self.lhs_values)
 
 
 def witness_sums(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:

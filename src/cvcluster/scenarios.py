@@ -26,7 +26,6 @@ from cvcluster.analysis import (
     GraphSpec,
     NullifierReport,
     WitnessReport,
-    analytic_column,
     graph_by_name,
     witness_tested_on,
 )
@@ -494,9 +493,8 @@ class ScenarioReport:
         graph = _cluster_graph(cfg)
         nullifiers = witness = decompositions = None
         if graph is not None:
-            analytic = analytic_column(graph, cfg.squeezing_r)
             nullifiers = _read_section(data, "nullifiers", "nodes", "variance",
-                                       lambda variances: NullifierReport.for_graph(graph, variances, analytic))
+                                       lambda variances: NullifierReport.for_graph(graph, variances, cfg.squeezing_r))
             if witness_tested_on(graph):
                 witness = _read_section(data, "witness", "inequalities", "lhs",
                                         functools.partial(WitnessReport.for_graph, graph))
@@ -558,24 +556,23 @@ def _frame(unitary: ComplexUnitary, graph: GraphSpec) -> InputFrame:
 
 
 def _measure(points, network: tuple) -> list[tuple]:
-    """Each config's (nullifier variances, witness sums, analytic column), one `InputFrame` pass for all.
+    """Each config's (nullifier variances, witness sums), one `InputFrame` pass for all.
 
     The points share `network`, `_resolve_network`'s (unitary, graph), and
-    their loss placement.  The lists are all None without a graph, and the
-    last two None on a custom graph.
+    their loss placement.  The lists are both None without a graph, and the
+    sums None on a graph without a witness pairing.
     """
     unitary, graph = network
     k = len(points)
     if graph is None:
-        return [(None, None, None)] * k
+        return [(None, None)] * k
     variances = _frame(unitary, graph).variances(
         [p.antisqueezing_db + p.squeezing_db for p in points], [p.loss for p in points],
         [p.jitter for p in points], points[0].loss_placement == "post",
     )
     pairs = graph.measured_rows[1]
     lhs = [None] * k if pairs is None else (variances.take(pairs[0], 1) + variances.take(pairs[1], 1)).tolist()
-    analytic = analytic_column(graph, [p.squeezing_r for p in points]) or [None] * k
-    return list(zip(variances[:, :graph.n_nodes].tolist(), lhs, analytic))
+    return list(zip(variances[:, :graph.n_nodes].tolist(), lhs))
 
 
 def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> ScenarioReport:
@@ -590,9 +587,9 @@ def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> Scenario
     pass, so that only the report is built per point.
     """
     network = _resolve_network(cfg) if _network is None else _network
-    variances, lhs, analytic = _measure([cfg], network)[0] if _measured is None else _measured
+    variances, lhs = _measure([cfg], network)[0] if _measured is None else _measured
     graph = network[1]
-    nullifiers = None if variances is None else NullifierReport.for_graph(graph, variances, analytic)
+    nullifiers = None if variances is None else NullifierReport.for_graph(graph, variances, cfg.squeezing_r)
     witness = None if lhs is None else WitnessReport.for_graph(graph, lhs)
     decompositions = verify_decompositions() if cfg.verify_decompositions else None
     return ScenarioReport(cfg, nullifiers, witness, decompositions)
@@ -603,9 +600,10 @@ SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 # Largest accepted sweep `steps`.  The sweep keeps a report per grid point, so
 # the flag alone would otherwise set the time and memory a run asks for: 10^13
 # steps failed to allocate the grid array itself.  10 000 is 50x a 200-point
-# sweep: 0.5-0.7 s for a loss sweep of `measured_gap`, loss and jitter on four
-# modes (one core of a 2-vCPU host), keeping 18 MiB of reports.  Measurement
-# adds at most STACK_BYTES on top, however many points and modes it has.
+# sweep: 0.24-0.38 s for a loss sweep of `measured_gap`, loss and jitter on four
+# modes (one core of a 2-vCPU host), keeping 10 MiB of reports, and 0.13-0.21 s
+# more for its CSV.  Measurement adds at most STACK_BYTES on top, however many
+# points and modes it has.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -626,8 +624,8 @@ class SweepResult:
         row's report.
         """
         first = self.reports[0]
-        n_nodes = len(first.nullifiers.entries)
-        n_ineq = len(first.witness.inequalities) if first.witness is not None else 3
+        n_nodes = len(first.nullifiers.variances)
+        n_ineq = len(first.witness.lhs_values) if first.witness is not None else 3
         header = (
             ["axis", "value"]
             + [f"variance_{k}" for k in range(1, n_nodes + 1)]
@@ -636,16 +634,11 @@ class SweepResult:
             + ["fully_inseparable"]
         )
         rows = [",".join(header)]
+        blank = [""] * (n_ineq + 1)
         for value, report in zip(self.values, self.reports):
-            cells = [self.axis, repr(value)]
-            cells += [repr(e.variance) for e in report.nullifiers.entries]
-            cells += [repr(e.level_db) for e in report.nullifiers.entries]
-            if report.witness is not None:
-                cells += [repr(i.lhs) for i in report.witness.inequalities]
-                cells.append("true" if report.witness.fully_inseparable else "false")
-            else:
-                cells += [""] * n_ineq
-                cells.append("")
+            n, w = report.nullifiers, report.witness
+            cells = [self.axis, *map(repr, (value, *n.variances, *n.levels_db))]
+            cells += blank if w is None else [*map(repr, w.lhs_values), "true" if w.fully_inseparable else "false"]
             rows.append(",".join(cells))
         return "\n".join(rows) + "\n"
 

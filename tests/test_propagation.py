@@ -2,11 +2,12 @@
 
 A sweep measures its points in passes of consecutive points, each holding at
 most `STACK_BYTES` of the kernel's arrays.  A point must report, byte for
-byte, what `run_scenario` reports for it alone, whatever pass it is in; its
-variances must agree with the forward state functions (inputs, channels,
-network, then the analysis of the final factor) at shallow levels, where the
-forward factor loses little to cancellation; and the pulled-back nullifiers
-of the paper's networks must hold no antisqueezed input quadrature.
+byte, what `run_scenario` reports for it alone, in its JSON report and its
+CSV row, whatever pass it is in; its variances must agree with the forward
+state functions (inputs, channels, network, then the analysis of the final
+factor) at shallow levels, where the forward factor loses little to
+cancellation; and the pulled-back nullifiers of the paper's networks must
+hold no antisqueezed input quadrature.
 """
 
 import tracemalloc
@@ -109,7 +110,24 @@ def test_a_sweep_point_reports_what_the_scenario_reports_alone(data, linear_netl
     with mock.patch.object(scenarios, "STACK_BYTES", budget):
         result = run_sweep(cfg, axis, start, stop, steps)
     points = [cfg._sweep_point(axis, value) for value in result.values]
-    assert [r.to_json() for r in result.reports] == [run_scenario(point).to_json() for point in points]
+    alone = [run_scenario(point) for point in points]
+    assert [r.to_json() for r in result.reports] == [r.to_json() for r in alone]
+    # the CSV is written from the measurements; its rows hold what each report alone holds
+    header, *rows = result.to_csv().splitlines()
+    assert rows == [csv_row(axis, value, report.to_dict()) for value, report in zip(result.values, alone)]
+    assert all(row.count(",") == header.count(",") for row in rows)
+
+
+def csv_row(axis: str, value: float, report: dict) -> str:
+    """A sweep's CSV row for a report's `to_dict`: blank witness cells when it has no witness."""
+    nodes, witness = report["nullifiers"]["nodes"], report["witness"]
+    cells = [axis, repr(value), *(repr(n["variance"]) for n in nodes), *(repr(n["level_db"]) for n in nodes)]
+    if witness is None:
+        cells += [""] * 4
+    else:
+        cells += [repr(i["lhs"]) for i in witness["inequalities"]]
+        cells.append("true" if witness["fully_inseparable"] else "false")
+    return ",".join(cells)
 
 
 @st.composite
@@ -144,14 +162,18 @@ def test_the_frame_agrees_with_the_forward_state_functions_at_shallow_levels(dat
     unitary, graph = network = scenarios._resolve_network(cfg)
     points = [cfg._sweep_point(axis, float(v)) for v in np.linspace(start, stop, steps)]
     built_in = graph.name in NAMED_GRAPH_EDGES
-    for point, (variances, lhs, analytic) in zip(points, scenarios._measure(points, network)):
+    # a report derives its closed-form column from its own (4,) r: bit for bit the row of the (k, 4) stack
+    stacked = analytic_residual_variances(graph.name, [p.squeezing_r for p in points]).tolist() if built_in else None
+    for i, (point, row) in enumerate(zip(points, scenarios._measure(points, network))):
+        variances, lhs = row
         factor = chained(point, unitary)
         np.testing.assert_allclose(variances, nullifier_variances(factor, graph), rtol=4e-15, atol=0.0)
+        analytic = [e.analytic_variance for e in run_scenario(point, network, row).nullifiers.entries]
         if built_in:
             np.testing.assert_allclose(lhs, witness_sums(factor, graph), rtol=4e-15, atol=0.0)
-            assert analytic == analytic_residual_variances(graph.name, point.squeezing_r).tolist()
+            assert analytic == stacked[i]
         else:
-            assert lhs is None and analytic is None
+            assert lhs is None and analytic == [None] * WIDE_MODES
 
 
 # Each channel edge a pass must carry as a point alone: the deepest and the zero level, all loss, loss of 1e-9 and

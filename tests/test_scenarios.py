@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from cvcluster import gaussian, networks, scenarios
+from cvcluster import analysis, gaussian, networks, scenarios
 from cvcluster.cli import main
 from cvcluster.networks import emit_netlist, linear_program, tshape_program
 from cvcluster.scenarios import (
@@ -294,6 +294,25 @@ class TestSweep:
         assert first[0] == "jitter"
         assert float(first[1]) == 0.0
         assert len(first) == len(header)
+
+    @pytest.mark.parametrize("network", ["square4", "netlist"])
+    def test_a_sweep_and_its_csv_build_no_entries(self, monkeypatch, network, linear_netlist):
+        counts = dict.fromkeys(("NullifierEntry", "WitnessInequality"), 0)
+        for name in counts:
+            cls = getattr(analysis, name)
+            monkeypatch.setattr(cls, "__init__", counting(counts, name, cls.__init__))
+        netlist = network == "netlist"
+        cfg = ScenarioConfig(linear_netlist if netlist else network, squeezing_db=-6.0, loss=0.9, jitter=0.03,
+                             graph_edges=LINEAR_EDGES if netlist else None)
+        result = run_sweep(cfg, "loss", 1.0, 0.5, 11)
+        result.to_csv()
+        assert counts == {"NullifierEntry": 0, "WitnessInequality": 0}
+        assert all("entries" not in vars(r.nullifiers) for r in result.reports)
+        assert all(r.witness is None or "inequalities" not in vars(r.witness) for r in result.reports)
+        # a report builds them when they are read, once
+        for _ in range(2):
+            result.reports[0].to_dict()
+        assert counts == {"NullifierEntry": 4, "WitnessInequality": 0 if netlist else 3}
 
     def test_zero_steps_rejected(self):
         cfg = ScenarioConfig("linear4")
