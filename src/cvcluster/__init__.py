@@ -21,13 +21,12 @@ from cvcluster.gaussian import (
     SqueezedInputSpec,
     apply_unitary,
     combination_variance,
+    impure_squeezed_inputs,
     impure_squeezed_vacuum,
     lossy_channel,
     phase_jitter,
-    squeezed_vacuum,
     squeezing_db_to_r,
     tensor,
-    unitary_to_symplectic,
     vacuum,
     variance_to_db,
 )
@@ -84,6 +83,7 @@ __all__ = [
     "combination_variance",
     "element_matrix",
     "full_inseparability_verdict",
+    "impure_squeezed_inputs",
     "impure_squeezed_vacuum",
     "linear4",
     "linear_cluster_unitary",
@@ -99,13 +99,11 @@ __all__ = [
     "run_sweep",
     "square4",
     "square_cluster_unitary",
-    "squeezed_vacuum",
     "squeezing_db_to_r",
     "tensor",
     "tshape4",
     "tshape_cluster_unitary",
     "tshape_program",
-    "unitary_to_symplectic",
     "vacuum",
     "variance_to_db",
     "verify_decompositions",

@@ -206,26 +206,18 @@ def nullifier_report(
     graph: GraphSpec,
     squeezing_r: tuple[float, float, float, float] | None = None,
 ) -> NullifierReport:
-    """Evaluate every node's nullifier variance on a state (:func:`nullifier_variances`).
+    """Evaluate every node's nullifier variance on a state, one `combination_variances` row per node.
 
     Args:
-        state: the candidate cluster state.
+        state: the candidate cluster state, with one mode per graph node.
         graph: graph defining the nullifier of each node.
         squeezing_r: optional input squeezing parameters (r_1 .. r_4) used
             for the analytic column; ignored for custom graphs.
     """
-    return NullifierReport.for_graph(graph, nullifier_variances(state.cov_factor, graph).tolist(), squeezing_r)
-
-
-def _check_modes(factor: np.ndarray, graph: GraphSpec):
-    if len(factor) != 2 * graph.n_nodes:
-        raise ValueError(f"state has {len(factor) // 2} modes but graph has {graph.n_nodes} nodes")
-
-
-def nullifier_variances(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:
-    """Every node's nullifier variance on a (2n, m) factor: (n,), node a's at index a - 1."""
-    _check_modes(factor, graph)
-    return combination_variances(factor, graph.coefficients)
+    if state.n_modes != graph.n_nodes:
+        raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
+    variances = combination_variances(state.cov_factor, graph.coefficients)
+    return NullifierReport.for_graph(graph, variances.tolist(), squeezing_r)
 
 
 def analytic_residual_variances(kind: str, r) -> np.ndarray:
@@ -241,27 +233,25 @@ def analytic_residual_variances(kind: str, r) -> np.ndarray:
     with e_i = e^{-2 r_i}/4.
 
     Args:
-        kind: "linear4", "square4" or "tshape4" (the "4" suffix is optional).
-        r: the four input squeezing parameters, or a (k, 4) array of them,
-            which gives the (k, 4) variances of each row.
+        kind: "linear4", "square4" or "tshape4".
+        r: the four input squeezing parameters.
     """
     e = np.exp(-2.0 * np.asarray(r, dtype=float)) * VACUUM_VARIANCE
-    if e.ndim not in (1, 2) or e.shape[-1] != 4:
+    if e.shape != (4,):
         raise ValueError(f"expected 4 squeezing parameters, got shape {e.shape}")
-    e1, e2, e3, e4 = e.T
-    name = kind if kind.endswith("4") else kind + "4"
-    if name == "linear4":
+    e1, e2, e3, e4 = e
+    if kind == "linear4":
         columns = [2.0 * e1, 2.5 * e3 + 0.5 * e4, 0.5 * e1 + 2.5 * e2, 2.0 * e4]
-    elif name == "square4":
+    elif kind == "square4":
         side_a = 0.5 * e1 + 2.5 * e2
         side_b = 2.5 * e3 + 0.5 * e4
         columns = [side_a, side_a, side_b, side_b]
-    elif name == "tshape4":
+    elif kind == "tshape4":
         arm = 0.5 * e1 + e3 + 0.5 * e4
         columns = [4.0 * e2, 2.0 * e1, arm, arm]
     else:
         raise ValueError(f"unknown network kind {kind!r}")
-    return np.array(columns).T
+    return np.array(columns)
 
 
 def witness_tested_on(graph: GraphSpec) -> str | None:
@@ -335,24 +325,17 @@ class WitnessReport:
         return all(x < WitnessInequality.bound for x in self.lhs_values)
 
 
-def witness_sums(factor: np.ndarray, graph: GraphSpec) -> np.ndarray:
-    """The witness inequality sums on a (2n, m) factor: (3,), in `WITNESS_PAIRS` order.
+def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> WitnessReport:
+    """The witness inequalities on a state: each sum adds the variances of a pair of `GraphSpec.measured_rows`.
 
-    Each is the sum of the variances of a pair of `GraphSpec.measured_rows`, so
-    square4 is tested on the locally equivalent linear4 state.  A graph
-    without a pairing raises :class:`UnsupportedGraphError`.
+    So square4 is tested on the locally equivalent linear4 state, and its
+    report marks the delegation via `delegated_to`.  A graph without a
+    pairing raises :class:`UnsupportedGraphError`.
     """
-    _check_modes(factor, graph)
+    if state.n_modes != graph.n_nodes:
+        raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
     rows, pairs = graph.measured_rows
     if pairs is None:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-    variances = combination_variances(factor, rows)
-    return variances[pairs[0]] + variances[pairs[1]]
-
-
-def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> WitnessReport:
-    """Nullifier variances plus witness inequalities in one call (:func:`witness_sums`).
-
-    The square4 report marks the delegation to linear4 via `delegated_to`.
-    """
-    return WitnessReport.for_graph(graph, witness_sums(state.cov_factor, graph).tolist())
+    variances = combination_variances(state.cov_factor, rows)
+    return WitnessReport.for_graph(graph, (variances[pairs[0]] + variances[pairs[1]]).tolist())

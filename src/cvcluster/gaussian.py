@@ -1,21 +1,25 @@
 """Multimode Gaussian states, passive linear optics, and imperfection channels.
 
-A state is its covariance factor F; cov = F F^T is derived on request, in the
-hbar = 1/2 convention (vacuum variance 1/4) with quadratures stacked as
-(x_1 .. x_n, p_1 .. p_n).  States are zero-mean: a displacement changes no
-variance, and variances are all this package reports.  A passive network
-given as a complex unitary U = A + iB maps to the real quadrature transform
-S = [[A, -B], [B, A]] (symplectic, orthogonal, built once) and sends F to S F;
-loss and phase jitter scale a mode's rows and append two noise columns, all
-modes of a kind in one pass (`impure_squeezed_inputs`, `apply_unitary`,
-`lossy_channels`, `phase_jitters`).  Channel-built states are physical and
-are checked only for shape and finiteness; a caller-supplied covariance is
-checked physically, once, and factored.  Combination variances are sums of
-squares ||F^T c||^2, accurate even when huge antisqueezed variances cancel.
+The library path builds states.  A state is its covariance factor F; cov =
+F F^T is derived on request, in the hbar = 1/2 convention (vacuum variance
+1/4) with quadratures stacked as (x_1 .. x_n, p_1 .. p_n).  States are
+zero-mean: a displacement changes no variance, and variances are all this
+package reports.  One function does each job: `impure_squeezed_inputs`
+makes the inputs; a passive network given as a complex unitary U = A + iB
+maps to the real quadrature transform S = [[A, -B], [B, A]] (symplectic,
+orthogonal, built once) and `apply_unitary` sends F to S F; loss and phase
+jitter scale a mode's rows and append two noise columns, all modes of a kind
+in one pass (`lossy_channels`, `phase_jitters`).  Channel-built states are
+physical and are checked only for shape and finiteness; a caller-supplied
+covariance is checked physically, once, and factored.  Combination
+variances are sums of squares ||F^T c||^2, but F rounds each S_ij amp_j
+before the antisqueezed amplitudes cancel, so deep levels lose precision
+(the README states the measured depths).
 
-`InputFrame` measures fixed combinations of a pass of points without a
-state, each row pulled back through the channels and the network to the
-inputs, where the paper's nullifiers hold no antisqueezed quadrature.
+Runs take the other path: `InputFrame` measures fixed combinations of a
+pass of points without a state, each row pulled back through the channels
+and the network to the inputs, where the paper's nullifiers hold no
+antisqueezed quadrature; it keeps their precision at every accepted level.
 
 All objects are immutable after construction and every operation returns a new
 value, so everything here is safe to use from concurrent workers.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +121,9 @@ class ComplexUnitary:
 
     @functools.cached_property
     def symplectic(self) -> np.ndarray:
-        """The read-only quadrature transform S of :func:`unitary_to_symplectic`, built once."""
-        return _read_only(unitary_to_symplectic(self))
+        """The read-only quadrature transform of U = A + iB, S = [[A, -B], [B, A]], built once."""
+        a, b = self.matrix.real, self.matrix.imag
+        return _read_only(np.block([[a, -b], [b, a]]))
 
     def adjoint(self) -> "ComplexUnitary":
         """Inverse network, U-dagger."""
@@ -234,37 +240,27 @@ def vacuum(n: int) -> GaussianState:
     return impure_squeezed_inputs([0.0] * n, [0.0] * n)
 
 
-def squeezed_vacuum(r: float) -> GaussianState:
-    """Single-mode p-squeezed vacuum with x-variance e^{2r}/4 and p-variance e^{-2r}/4.
-
-    The mode operator is a = e^{+r} x0 + i e^{-r} p0 with (x0, p0) vacuum
-    quadratures, so r > 0 squeezes p and antisqueezes x.
-    """
-    if not math.isfinite(r):
-        raise ValueError(f"squeezing parameter must be finite, got {r!r}")
-    variances = [VACUUM_VARIANCE * math.exp(2 * r), VACUUM_VARIANCE * math.exp(-2 * r)]
-    return GaussianState(cov_factor=np.diag(np.sqrt(variances)))
-
-
 def impure_squeezed_vacuum(spec: SqueezedInputSpec) -> GaussianState:
-    """Single-mode squeezed thermal state with independent x and p dB levels.
-
-    Real sources show more antisqueezing than squeezing; the covariance is
-    diag(0.25 * 10^(a/10), 0.25 * 10^(s/10)) for antisqueezing a and
-    squeezing s in dB.
-    """
+    """The one-mode :func:`impure_squeezed_inputs` of `spec`."""
     return impure_squeezed_inputs((spec.squeezing_db,), (spec.antisqueezing_db,))
 
 
 def impure_squeezed_inputs(squeezing_db, antisqueezing_db) -> GaussianState:
-    """The :func:`tensor` of an :func:`impure_squeezed_vacuum` per level pair, in one step; levels go unchecked.
+    """Independent squeezed thermal inputs, one per pair of p (squeezing) and x (antisqueezing) dB levels.
 
-    Mode j's x row holds sqrt(0.25 * 10^(a/10)) in column 2j and its p row
-    sqrt(0.25 * 10^(s/10)) in column 2j + 1.
+    Real sources show more antisqueezing than squeezing; mode j's covariance
+    is diag(0.25 * 10^(a_j/10), 0.25 * 10^(s_j/10)), its x row holding the
+    square root of the first in column 2j and its p row that of the second
+    in column 2j + 1.  The lists must have one, nonzero length, and each pair
+    must pass the rule of :class:`SqueezedInputSpec`; else a ValueError.
     """
     n = len(squeezing_db)
+    if not n or len(antisqueezing_db) != n:
+        raise ValueError(f"expected as many antisqueezing as squeezing levels, at least one, "
+                         f"got {len(antisqueezing_db)} and {n}")
     factor = np.zeros((2 * n, 2 * n))
     for j, (s, a) in enumerate(zip(squeezing_db, antisqueezing_db)):
+        SqueezedInputSpec(s, a)  # checks the pair
         factor[j, 2 * j] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (a / 10.0))
         factor[n + j, 2 * j + 1] = math.sqrt(VACUUM_VARIANCE * 10.0 ** (s / 10.0))
     return GaussianState(cov_factor=factor)
@@ -291,12 +287,6 @@ def tensor(states: list[GaussianState]) -> GaussianState:
         col += cols
         offset += k
     return GaussianState(cov_factor=factor)
-
-
-def unitary_to_symplectic(unitary: ComplexUnitary) -> np.ndarray:
-    """Quadrature image of a passive unitary: U = A + iB gives S = [[A, -B], [B, A]]."""
-    a, b = unitary.matrix.real, unitary.matrix.imag
-    return np.block([[a, -b], [b, a]])
 
 
 def apply_unitary(state: GaussianState, unitary: ComplexUnitary) -> GaussianState:
@@ -497,8 +487,9 @@ class InputFrame:
         self.picks = _read_only(np.array(picks))
         self.squares = _read_only(symplectic * symplectic)
         self.point_bytes = 8 * (3 * self.terms.size + symplectic.size + 12 * n + len(pairs))
+        frame = weakref.proxy(self)  # a bound method in a cache would make a cycle and keep an evicted frame alive
         for name in ("_jitter_terms", "_loss_terms", "_gains"):
-            setattr(self, name, functools.lru_cache(maxsize=16)(getattr(self, name)))
+            setattr(self, name, functools.lru_cache(maxsize=16)(functools.partial(getattr(InputFrame, name), frame)))
 
     def _jitter_terms(self, jitter: tuple) -> tuple:
         """Per mode E[dc^2], E[ds^2] and c1 (:func:`_jitter_moments`), and c1_m - c1_q for each of `pairs`."""

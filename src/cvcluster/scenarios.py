@@ -199,8 +199,9 @@ class ScenarioConfig:
         """This checked config with per-mode field `axis` set to the finite float `value` on every mode.
 
         Gives what the constructor gives for those fields, without running it
-        again: only the ranges are checked.  When `squeezing_db` moves,
-        modes configured pure (antisqueezing mirroring squeezing) stay pure.
+        again, and checks nothing: `run_sweep` checks the grid's ranges.  When
+        `squeezing_db` moves, modes configured pure (antisqueezing mirroring
+        squeezing) stay pure.
         """
         overrides = {axis: (value,) * self.n_modes}
         if axis == "squeezing_db":
@@ -209,7 +210,6 @@ class ScenarioConfig:
             )
         point = object.__new__(type(self))
         vars(point).update(vars(self), **overrides)
-        point._check_ranges()
         return point
 
     @classmethod
@@ -653,13 +653,14 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     are measured together, in passes of consecutive points that hold at
     most STACK_BYTES each; no point builds a state, and a point measures
     as it does alone.  Each point's report is built by `run_scenario` from
-    its row of the pass's measurements.
+    its row of the pass's measurements.  The grid is checked once, here:
+    a bad point raises the constructor's `ConfigError` for its fields.
 
     Args:
         cfg: base configuration.
         axis: one of "squeezing_db", "antisqueezing_db", "loss", "jitter".
-        start: first grid value.
-        stop: last grid value.
+        start: first grid value, a real number (not a bool).
+        stop: last grid value, a real number (not a bool).
         steps: number of grid points, 1..MAX_SWEEP_STEPS.
     """
     if axis not in SWEEP_AXES:
@@ -669,6 +670,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         raise ConfigError("steps", f"need at least one grid point, got {steps!r}")
     if steps > MAX_SWEEP_STEPS:
         raise ConfigError("steps", f"{steps} grid points exceed the cap of {MAX_SWEEP_STEPS}")
+    for field, bound in (("start", start), ("stop", stop)):
+        if not is_real(bound):
+            raise ConfigError(field, f"expected a real number, got {bound!r}")
     if not math.isfinite(stop - start):
         raise ConfigError("start", f"sweep bounds must be finite with a finite span, got {start!r} to {stop!r}")
     network = _resolve_network(cfg)
@@ -676,6 +680,15 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         raise ConfigError("graph_edges", "sweeps need nullifier output; netlist sweeps require graph_edges")
     values = tuple(float(v) for v in np.linspace(start, stop, steps))
     points = [cfg._sweep_point(axis, value) for value in values]
+    try:  # each axis accepts an interval of values, and every grid point lies between the two ends
+        points[0]._check_ranges()
+        points[-1]._check_ranges()
+        ends_pass = True
+    except ConfigError:
+        ends_pass = False
+    if not ends_pass:  # raise the error of the first bad point in grid order
+        for point in points:
+            point._check_ranges()
     per_pass = max(1, STACK_BYTES // _frame(*network).point_bytes)
     reports = []
     for first in range(0, steps, per_pass):

@@ -9,12 +9,8 @@ from cvcluster.analysis import linear4, square4, tshape4
 from cvcluster.gaussian import (
     ComplexUnitary,
     GaussianState,
-    SqueezedInputSpec,
     apply_unitary,
     combination_variance,
-    impure_squeezed_vacuum,
-    squeezed_vacuum,
-    tensor,
 )
 from cvcluster.networks import (
     linear_cluster_unitary,
@@ -31,15 +27,9 @@ NETWORKS = {
 
 
 def pure_inputs(r) -> GaussianState:
-    """Four p-squeezed vacua with the given squeezing parameters."""
-    return tensor([squeezed_vacuum(ri) for ri in r])
-
-
-def impure_inputs(squeezing_db, antisqueezing_db) -> GaussianState:
-    return tensor([
-        impure_squeezed_vacuum(SqueezedInputSpec(s, a))
-        for s, a in zip(squeezing_db, antisqueezing_db)
-    ])
+    """Pure squeezed vacua, one per r_j: x variance e^{2 r_j}/4 and p variance e^{-2 r_j}/4 (r_j < 0 squeezes x)."""
+    r = np.asarray(r, dtype=float)
+    return GaussianState(cov_factor=np.diag(0.5 * np.exp(np.concatenate([r, -r]))))
 
 
 def cluster_state(name: str, r) -> GaussianState:

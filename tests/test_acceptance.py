@@ -23,11 +23,11 @@ from cvcluster.analysis import (
 )
 from cvcluster.gaussian import (
     apply_unitary,
+    impure_squeezed_inputs,
     lossy_channel,
     phase_jitter,
     squeezing_db_to_r,
     symplectic_form,
-    unitary_to_symplectic,
     vacuum,
 )
 from cvcluster.networks import (
@@ -53,7 +53,6 @@ from helpers import (
     db_to_variance,
     equivalence_identities_check,
     graph_for,
-    impure_inputs,
     pure_inputs,
 )
 
@@ -151,7 +150,7 @@ def test_criterion_4_antisqueezing_elimination():
     for name in sorted(NETWORKS):
         baseline = None
         for extra in (0.0, 6.0, 12.0):
-            state = impure_inputs((s,) * 4, (-s + extra,) * 4)
+            state = impure_squeezed_inputs((s,) * 4, (-s + extra,) * 4)
             out = apply_unitary(state, NETWORKS[name][0]())
             variances = np.array(nullifier_report(out, graph_for(name)).variances)
             if baseline is None:
@@ -209,7 +208,7 @@ def test_criterion_7_property_suite():
     ]
     symplectic_dev = max(
         float(np.max(np.abs(s @ omega @ s.T - omega)))
-        for s in (unitary_to_symplectic(u) for u in constructed)
+        for s in (u.symplectic for u in constructed)
     )
 
     uncertainty_floor = 0.0

@@ -15,15 +15,14 @@ from cvcluster.analysis import (
     linear4,
     nullifier_coefficients,
     nullifier_report,
-    nullifier_variances,
     square4,
     tshape4,
-    witness_sums,
     witness_tested_on,
 )
 from cvcluster.gaussian import (
     apply_unitary,
     combination_variances,
+    impure_squeezed_inputs,
     lossy_channel,
     phase_jitter,
     squeezing_db_to_r,
@@ -39,7 +38,6 @@ from helpers import (
     db_to_variance,
     equivalence_identities_check,
     graph_for,
-    impure_inputs,
 )
 
 TOL = 1e-12
@@ -142,9 +140,10 @@ class TestNullifierReport:
         for entry, expected in zip(report.entries, analytic_residual_variances("linear4", r)):
             assert entry.analytic_variance == pytest.approx(expected, rel=1e-12)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="modes"):
-            nullifier_report(vacuum(3), linear4())
+    @pytest.mark.parametrize("entry", [nullifier_report, full_inseparability_verdict])
+    def test_dimension_mismatch_rejected(self, entry):
+        with pytest.raises(ValueError, match="^state has 3 modes but graph has 4 nodes$"):
+            entry(vacuum(3), linear4())
 
 
 class TestAnalyticResiduals:
@@ -162,18 +161,15 @@ class TestAnalyticResiduals:
             simulated = nullifier_report(cluster_state(name, r), graph_for(name)).variances
             assert np.max(np.abs(np.array(simulated) - analytic_residual_variances(name, r))) < 1e-10
 
-    def test_short_names_accepted(self):
-        r = (0.1, 0.2, 0.3, 0.4)
-        assert np.array_equal(analytic_residual_variances("linear", r),
-                              analytic_residual_variances("linear4", r))
-
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["ring", "linear"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown network"):
-            analytic_residual_variances("ring", (0, 0, 0, 0))
+            analytic_residual_variances(kind, (0, 0, 0, 0))
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_residual_variances("linear4", (0.1, 0.2))
+    @pytest.mark.parametrize("r", [(0.1, 0.2), [(0.1, 0.2, 0.3, 0.4)]])
+    def test_wrong_shape_rejected(self, r):
+        with pytest.raises(ValueError, match="expected 4 squeezing parameters"):
+            analytic_residual_variances("linear4", r)
 
 
 class TestEquivalenceIdentities:
@@ -268,19 +264,18 @@ class TestFullInseparabilityVerdict:
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_witness_sums_add_pairs_of_the_measured_rows(self, name):
         make_unitary, make_graph = NETWORKS[name]
-        state = apply_unitary(impure_inputs([-5.5, -6.3, -5.8, -6.0], [9.1, 11.9, 10.5, 11.2]), make_unitary())
+        state = apply_unitary(impure_squeezed_inputs([-5.5, -6.3, -5.8, -6.0], [9.1, 11.9, 10.5, 11.2]), make_unitary())
         state = phase_jitter(lossy_channel(state, 2, 0.9), 3, 0.05)
         graph = make_graph()
         rows, (first, second) = graph.measured_rows
         variances = combination_variances(state.cov_factor, rows)
-        assert variances[:4].tolist() == nullifier_variances(state.cov_factor, graph).tolist()
-        lhs = witness_sums(state.cov_factor, graph)
-        assert lhs.tolist() == (variances[first] + variances[second]).tolist()
-        assert lhs.tolist() == list(full_inseparability_verdict(state, graph).lhs_values)
+        assert variances[:4].tolist() == list(nullifier_report(state, graph).variances)
+        lhs = full_inseparability_verdict(state, graph).lhs_values
+        assert list(lhs) == (variances[first] + variances[second]).tolist()
         if name == "square4":
             # the linear4 rows pulled back through the local phases measure the state with the phases undone
             linear_state = apply_unitary(state, linear_to_square_phases().adjoint())
-            assert variances[4:] == pytest.approx(nullifier_variances(linear_state.cov_factor, linear4()), rel=1e-15)
+            assert variances[4:] == pytest.approx(nullifier_report(linear_state, linear4()).variances, rel=1e-15)
 
     def test_custom_graph_rejected(self):
         graph = GraphSpec(4, frozenset({(1, 2), (3, 4)}), "custom")
@@ -312,7 +307,7 @@ class TestNetworkProperties:
         s = (-6.0,) * 4
         variances = []
         for extra in (0.0, 6.0, 12.0):
-            state = impure_inputs(s, tuple(-v + extra for v in s))
+            state = impure_squeezed_inputs(s, tuple(-v + extra for v in s))
             out = apply_unitary(state, NETWORKS[name][0]())
             variances.append(nullifier_report(out, graph_for(name)).variances)
         for other in variances[1:]:

@@ -19,11 +19,9 @@ from cvcluster.gaussian import (
     lossy_channels,
     phase_jitter,
     phase_jitters,
-    squeezed_vacuum,
     squeezing_db_to_r,
     symplectic_form,
     tensor,
-    unitary_to_symplectic,
     vacuum,
     variance_to_db,
 )
@@ -124,32 +122,30 @@ class TestFactorAdoption:
             assert factor.flags.writeable and not np.shares_memory(state.cov_factor, factor)
 
 
-class TestSqueezedVacuum:
-    def test_zero_squeezing_is_vacuum(self):
-        assert np.allclose(squeezed_vacuum(0.0).cov, np.diag([0.25, 0.25]), atol=TOL)
+class TestImpureSqueezedInputs:
+    def test_mirrored_levels_give_pure_inputs(self):
+        state = impure_squeezed_inputs([-6.0, -0.5, 0.0], [6.0, 0.5, 0.0])
+        for mode in range(3):
+            block = state.cov[np.ix_([mode, 3 + mode], [mode, 3 + mode])]
+            assert np.linalg.det(block) == pytest.approx(1 / 16, rel=1e-12)
 
-    def test_six_db_p_variance(self):
-        r = squeezing_db_to_r(-6.0)
-        state = squeezed_vacuum(r)
-        assert state.cov[1, 1] == pytest.approx(0.25 * 10 ** -0.6, abs=1e-15)
-        assert state.cov[0, 0] == pytest.approx(0.25 * 10 ** 0.6, abs=1e-15)
+    @pytest.mark.parametrize("squeezing,antisqueezing", [([], []), ([-6.0] * 4, [6.0] * 3), ([-6.0], [])])
+    def test_level_lists_need_one_nonzero_length(self, squeezing, antisqueezing):
+        message = f"^expected as many antisqueezing as squeezing levels, at least one, got {len(antisqueezing)} and"
+        with pytest.raises(ValueError, match=message):
+            impure_squeezed_inputs(squeezing, antisqueezing)
 
-    @pytest.mark.parametrize("r", [-1.0, -0.3, 0.0, 0.7, 2.0])
-    def test_pure_state_determinant(self, r):
-        assert np.linalg.det(squeezed_vacuum(r).cov) == pytest.approx(1 / 16, rel=1e-12)
-
-    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, r):
-        with pytest.raises(ValueError):
-            squeezed_vacuum(r)
+    @pytest.mark.parametrize("s,a", [(-6.0, 4.0), (1.0, 1.0), (-1.0, -1.0), (math.nan, 6.0), (-6.0, math.inf),
+                                     (-3100.0, 3100.0), (-6.0, 3100.0)])
+    def test_levels_follow_the_spec_rule(self, s, a):
+        with pytest.raises(ValueError) as spec:
+            SqueezedInputSpec(s, a)
+        with pytest.raises(ValueError) as inputs:
+            impure_squeezed_inputs([-6.0, s], [6.0, a])
+        assert str(inputs.value) == str(spec.value)
 
 
 class TestImpureSqueezedVacuum:
-    def test_pure_spec_matches_squeezed_vacuum(self):
-        spec = SqueezedInputSpec(-6.0, 6.0)
-        expected = squeezed_vacuum(squeezing_db_to_r(-6.0))
-        assert np.allclose(impure_squeezed_vacuum(spec).cov, expected.cov, atol=TOL)
-
     def test_independent_levels(self):
         state = impure_squeezed_vacuum(SqueezedInputSpec(-5.5, 9.1))
         assert np.allclose(state.cov, np.diag([0.25 * 10 ** 0.91, 0.25 * 10 ** -0.55]), atol=1e-15)
@@ -186,7 +182,7 @@ class TestTensor:
 
     def test_block_structure_preserves_order(self):
         r = 0.7
-        state = tensor([squeezed_vacuum(r), vacuum(1)])
+        state = tensor([pure_inputs([r]), vacuum(1)])
         assert np.allclose(np.diag(state.cov),
                            [0.25 * math.exp(2 * r), 0.25, 0.25 * math.exp(-2 * r), 0.25],
                            atol=TOL)
@@ -199,20 +195,21 @@ class TestTensor:
             tensor([])
 
 
-class TestUnitaryToSymplectic:
+class TestSymplectic:
     def test_identity(self):
-        s = unitary_to_symplectic(ComplexUnitary(np.eye(3)))
+        s = ComplexUnitary(np.eye(3)).symplectic
         assert np.array_equal(s, np.eye(6))
 
     def test_all_mode_fourier(self):
-        s = unitary_to_symplectic(ComplexUnitary(1j * np.eye(2)))
+        s = ComplexUnitary(1j * np.eye(2)).symplectic
         expected = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
         assert np.array_equal(s, expected)
 
     def test_linear_network_is_symplectic(self):
-        s = unitary_to_symplectic(linear_cluster_unitary())
+        s = linear_cluster_unitary().symplectic
         omega = symplectic_form(4)
         assert np.max(np.abs(s @ omega @ s.T - omega)) < TOL
+        assert not s.flags.writeable
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -292,7 +289,7 @@ class TestLossyChannel:
 
     def test_half_transmission_formula(self):
         v = 0.25 * math.exp(-2 * 0.7)
-        out = lossy_channel(squeezed_vacuum(0.7), 1, 0.5)
+        out = lossy_channel(pure_inputs([0.7]), 1, 0.5)
         assert out.cov[1, 1] == pytest.approx(0.5 * v + 0.125, abs=1e-15)
 
     @pytest.mark.parametrize("eta", [-0.1, 1.1])
@@ -312,11 +309,11 @@ class TestLossyChannel:
 
 class TestPhaseJitter:
     def test_zero_sigma_is_identity(self):
-        state = squeezed_vacuum(0.8)
+        state = pure_inputs([0.8])
         assert phase_jitter(state, 1, 0.0) is state
 
     def test_full_dephasing_symmetrizes(self):
-        state = squeezed_vacuum(0.8)
+        state = pure_inputs([0.8])
         out = phase_jitter(state, 1, 50.0)
         mid = (state.cov[0, 0] + state.cov[1, 1]) / 2
         assert out.cov[0, 0] == pytest.approx(mid, rel=1e-9)
@@ -338,7 +335,7 @@ class TestPhaseJitter:
         assert any(clipped) and not all(clipped)
 
     def test_small_sigma_interpolates(self):
-        state = squeezed_vacuum(squeezing_db_to_r(-6.0))
+        state = impure_squeezed_inputs([-6.0], [6.0])
         out = phase_jitter(state, 1, 0.1)
         mid = (state.cov[0, 0] + state.cov[1, 1]) / 2
         assert state.cov[1, 1] < out.cov[1, 1] < mid
@@ -377,7 +374,7 @@ class TestPhaseJitter:
 
     def test_underflowing_sigma_is_identity(self):
         # sigma^2 underflows to 0, so the noise block is exactly zero
-        state = squeezed_vacuum(0.8)
+        state = pure_inputs([0.8])
         out = phase_jitter(state, 1, 1e-170)
         assert np.array_equal(out.cov, state.cov)
 

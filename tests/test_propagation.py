@@ -18,8 +18,20 @@ import numpy as np
 import pytest
 
 from cvcluster import scenarios
-from cvcluster.analysis import NAMED_GRAPH_EDGES, analytic_residual_variances, nullifier_variances, witness_sums
-from cvcluster.gaussian import LEVEL_LIMIT_DB, apply_unitary, impure_squeezed_inputs, lossy_channels, phase_jitters
+from cvcluster.analysis import (
+    NAMED_GRAPH_EDGES,
+    analytic_residual_variances,
+    full_inseparability_verdict,
+    nullifier_report,
+)
+from cvcluster.gaussian import (
+    LEVEL_LIMIT_DB,
+    GaussianState,
+    apply_unitary,
+    impure_squeezed_inputs,
+    lossy_channels,
+    phase_jitters,
+)
 from cvcluster.networks import emit_netlist, linear_program
 from cvcluster.scenarios import SWEEP_AXES, STACK_BYTES, ScenarioConfig, run_scenario, run_sweep
 
@@ -58,8 +70,8 @@ def wide_netlist(tmp_path_factory):
     return str(path)
 
 
-def chained(point: ScenarioConfig, unitary) -> np.ndarray:
-    """The point's final factor from the public state functions, one stage after the other."""
+def chained(point: ScenarioConfig, unitary) -> GaussianState:
+    """The point's final state from the public state functions, one stage after the other."""
     state = impure_squeezed_inputs(point.squeezing_db, point.antisqueezing_db)
     losses = {mode: eta for mode, eta in enumerate(point.loss, start=1) if eta < 1.0}
     if point.loss_placement == "pre":
@@ -67,7 +79,7 @@ def chained(point: ScenarioConfig, unitary) -> np.ndarray:
     state = apply_unitary(state, unitary)
     if point.loss_placement == "post":
         state = lossy_channels(state, losses)
-    return phase_jitters(state, dict(enumerate(point.jitter, start=1))).cov_factor
+    return phase_jitters(state, dict(enumerate(point.jitter, start=1)))
 
 
 @st.composite
@@ -162,16 +174,14 @@ def test_the_frame_agrees_with_the_forward_state_functions_at_shallow_levels(dat
     unitary, graph = network = scenarios._resolve_network(cfg)
     points = [cfg._sweep_point(axis, float(v)) for v in np.linspace(start, stop, steps)]
     built_in = graph.name in NAMED_GRAPH_EDGES
-    # a report derives its closed-form column from its own (4,) r: bit for bit the row of the (k, 4) stack
-    stacked = analytic_residual_variances(graph.name, [p.squeezing_r for p in points]).tolist() if built_in else None
-    for i, (point, row) in enumerate(zip(points, scenarios._measure(points, network))):
+    for point, row in zip(points, scenarios._measure(points, network)):
         variances, lhs = row
-        factor = chained(point, unitary)
-        np.testing.assert_allclose(variances, nullifier_variances(factor, graph), rtol=4e-15, atol=0.0)
+        state = chained(point, unitary)
+        np.testing.assert_allclose(variances, nullifier_report(state, graph).variances, rtol=4e-15, atol=0.0)
         analytic = [e.analytic_variance for e in run_scenario(point, network, row).nullifiers.entries]
         if built_in:
-            np.testing.assert_allclose(lhs, witness_sums(factor, graph), rtol=4e-15, atol=0.0)
-            assert analytic == stacked[i]
+            np.testing.assert_allclose(lhs, full_inseparability_verdict(state, graph).lhs_values, rtol=4e-15, atol=0.0)
+            assert analytic == analytic_residual_variances(graph.name, point.squeezing_r).tolist()
         else:
             assert lhs is None and analytic == [None] * WIDE_MODES
 

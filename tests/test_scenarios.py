@@ -1,9 +1,11 @@
 """Tests for scenario configs, runs, sweeps, and report serialization."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import weakref
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -263,11 +265,11 @@ class TestSweep:
         assert "antisqueezing [dB] : 0.0 0.0 0.0 0.0\n" in last.to_text()
 
     def test_network_matrices_are_built_once_not_per_point(self, monkeypatch):
-        counts = {"ComplexUnitary": 0, "unitary_to_symplectic": 0}
-        monkeypatch.setattr(gaussian.ComplexUnitary, "__init__",
-                            counting(counts, "ComplexUnitary", gaussian.ComplexUnitary.__init__))
-        monkeypatch.setattr(gaussian, "unitary_to_symplectic",
-                            counting(counts, "unitary_to_symplectic", gaussian.unitary_to_symplectic))
+        # a unitary builds its quadrature matrix once, so no new unitary means no new matrix
+        counts = {"ComplexUnitary": 0, "InputFrame": 0}
+        for name in counts:
+            cls = getattr(gaussian, name)
+            monkeypatch.setattr(cls, "__init__", counting(counts, name, cls.__init__))
         cfg = ScenarioConfig("square4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
         run_sweep(cfg, "loss", 0.5, 1.0, 1)  # the first use builds what later sweeps share
         per_sweep = []
@@ -276,6 +278,18 @@ class TestSweep:
             run_sweep(cfg, "loss", 0.5, 1.0, steps)
             per_sweep.append(dict(counts))
         assert per_sweep[0] == per_sweep[1]
+
+    def test_a_frame_cleared_from_its_cache_is_freed_without_the_cycle_collector(self):
+        # the frame's per-point caches hold no reference back to it, so reference counting alone frees it
+        cfg = ScenarioConfig("tshape4", squeezing_db=-6.0, loss=0.9, jitter=0.02)
+        run_sweep(cfg, "jitter", 0.0, 0.1, 3)  # fills the frame's caches
+        frame = weakref.ref(scenarios._frame(*scenarios._resolve_network(cfg)))
+        gc.disable()
+        try:
+            scenarios._frame.cache_clear()
+            assert frame() is None
+        finally:
+            gc.enable()
 
     def test_loss_sweep_monotone_variances(self):
         cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
@@ -319,11 +333,16 @@ class TestSweep:
         with pytest.raises(ConfigError, match="steps"):
             run_sweep(cfg, "loss", 1.0, 0.0, 0)
 
-    @pytest.mark.parametrize("steps", [True, 2.5, "3"])
-    def test_steps_must_be_an_integer(self, steps):
-        cfg = ScenarioConfig("linear4")
-        with pytest.raises(ConfigError, match="steps"):
-            run_sweep(cfg, "loss", 1.0, 0.0, steps)
+    @pytest.mark.parametrize("start,stop,steps,field", [
+        (1.0, 0.0, True, "steps"), (1.0, 0.0, 2.5, "steps"), (1.0, 0.0, "3", "steps"),
+        (True, 0.5, 3, "start"), ("1", 0.5, 3, "start"), (1.0, None, 3, "stop"), (1.0, 0.5 + 0j, 3, "stop"),
+    ])
+    def test_grid_values_must_be_numbers_of_their_kind(self, start, stop, steps, field):
+        kind = "an integer" if field == "steps" else "a real number"
+        value = {"start": start, "stop": stop, "steps": steps}[field]
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(ScenarioConfig("linear4"), "loss", start, stop, steps)
+        assert (exc.value.field, str(exc.value)) == (field, f"{field}: expected {kind}, got {value!r}")
 
     def test_integral_values_pass_as_integers(self, linear_netlist):
         cfg = ScenarioConfig(linear_netlist, squeezing_db=[-6.0] * 4, graph_edges=[[1.0, np.int64(2)], [2, 3], [3, 4]])
