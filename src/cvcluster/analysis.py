@@ -186,15 +186,17 @@ class NullifierReport:
     def graph_name(self) -> str:
         return self.graph.name
 
+    @property
+    def analytic_variances(self) -> list[float] | None:
+        """The closed-form column of a built-in graph with `squeezing_r`, in node order; else None."""
+        named = self.squeezing_r is not None and self.graph.name in NAMED_GRAPH_EDGES
+        return analytic_residual_variances(self.graph.name, self.squeezing_r).tolist() if named else None
+
     @cached_property
     def entries(self) -> tuple[NullifierEntry, ...]:
-        analytic = [None] * self.graph.n_nodes
-        if self.squeezing_r is not None and self.graph.name in NAMED_GRAPH_EDGES:
-            analytic = analytic_residual_variances(self.graph.name, self.squeezing_r).tolist()
-        return tuple(
-            NullifierEntry(a, var, ref, ideal)
-            for a, (var, ref, ideal) in enumerate(zip(self.variances, self.graph.references, analytic), start=1)
-        )
+        n = self.graph.n_nodes
+        return tuple(map(NullifierEntry, range(1, n + 1), self.variances, self.graph.references,
+                         self.analytic_variances or [None] * n))
 
     @property
     def levels_db(self) -> tuple[float, ...]:
@@ -315,10 +317,14 @@ class WitnessReport:
         tested = witness_tested_on(self.graph)
         return None if tested == self.graph.name else tested
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Each inequality's label, `node<a>+node<b>` for its pair (a, b) of `WITNESS_PAIRS`."""
+        return tuple(f"node{a}+node{b}" for a, b in WITNESS_PAIRS[witness_tested_on(self.graph)])
+
     @cached_property
     def inequalities(self) -> tuple[WitnessInequality, ...]:
-        pairs = WITNESS_PAIRS[witness_tested_on(self.graph)]
-        return tuple(WitnessInequality(f"node{a}+node{b}", x) for (a, b), x in zip(pairs, self.lhs_values))
+        return tuple(map(WitnessInequality, self.labels, self.lhs_values))
 
     @property
     def fully_inseparable(self) -> bool:

@@ -17,14 +17,17 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 from cvcluster.analysis import (
     GraphSpec,
     NullifierReport,
+    WitnessInequality,
     WitnessReport,
     graph_by_name,
     witness_tested_on,
@@ -236,7 +239,7 @@ class ScenarioConfig:
         return tuple(map(squeezing_db_to_r, self.squeezing_db))
 
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+_CONFIG_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(ScenarioConfig)))
 
 
 def read_config_file(path) -> dict:
@@ -297,7 +300,7 @@ class DecompositionReport:
 
     def to_dict(self) -> dict:
         return {
-            "checks": [dict(vars(c)) for c in self.checks],
+            "checks": [dict(sorted(vars(c).items())) for c in self.checks],
             "square_relation_deviation": self.square_relation_deviation,
         }
 
@@ -355,13 +358,7 @@ def verify_decompositions() -> DecompositionReport:
         cov_dev = float(np.max(np.abs(
             apply_unitary(probe, product).cov - apply_unitary(probe, constant).cov
         )))
-        checks.append(DecompositionCheck(
-            network=name,
-            max_deviation=dev,
-            global_phase=phase,
-            phase_aligned_deviation=aligned,
-            covariance_deviation=cov_dev,
-        ))
+        checks.append(DecompositionCheck(name, dev, phase, aligned, cov_dev))
     square_dev = float(np.max(np.abs(
         linear_to_square_phases().matrix @ linear_cluster_unitary().matrix - square_cluster_unitary().matrix
     )))
@@ -394,47 +391,29 @@ _ABSENT = object()
 
 def _first_difference(derived, written, path: str = "") -> str | None:
     """The first path, keys in sorted order, at which `written` would serialize differently from `derived`."""
+    if type(derived) is type(written) and repr(derived) == repr(written):  # -0.0 != 0.0; dicts keep key order
+        return None
     if isinstance(derived, dict) and isinstance(written, dict):
         keys = sorted(derived.keys() | written.keys(), key=str)
         children = [(f"{path}.{k}" if path else str(k), derived.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys]
     elif isinstance(derived, list) and isinstance(written, list) and len(derived) == len(written):
         children = [(f"{path}[{i}]", d, w) for i, (d, w) in enumerate(zip(derived, written))]
     else:
-        return None if type(derived) is type(written) and repr(derived) == repr(written) else path  # -0.0 != 0.0
+        return path
     return next(filter(None, (_first_difference(d, w, sub) for sub, d, w in children)), None)
 
 
-def _json(value, indent: str = "\n") -> str:
-    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it, each line opened by `indent`.
+# Each report shape's JSON template (see `to_json`), built on first use; past NETWORK_CACHE_SIZE, the oldest goes.
+_TEMPLATES = {}
+_DUMPS_ONLY = frozenset(map(str, (math.inf, -math.inf, math.nan, True, False, None)))  # json.dumps writes otherwise
+_BOOLS = ("false", "true")
 
-    With `indent`, `json.dumps` runs its pure-Python encoder, a generator
-    per value.  Here dict keys (str) and strings go through the C string
-    encoder, a finite float is its `float.__repr__`, and a flat list of
-    finite floats is one `join`.  Tuples are written as lists; ints, bools,
-    None and non-finite floats are written as `json.dumps` writes them.
-    """
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        # a non-finite float makes the sum non-finite; so may an overflow, which is then written value by value
-        if all(type(v) is float for v in value) and math.isfinite(sum(value)):
-            items = list(map(float.__repr__, value))
-        else:
-            items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value)  # NaN, Infinity, -Infinity; a TypeError for what JSON cannot hold
+
+def _slots(tree):
+    """A `to_dict` tree with each number, string and bool replaced by a `%s` slot; None stays."""
+    if isinstance(tree, (dict, list)):
+        return {k: _slots(v) for k, v in tree.items()} if isinstance(tree, dict) else list(map(_slots, tree))
+    return None if tree is None else "%s"
 
 
 @dataclass(frozen=True)
@@ -447,28 +426,29 @@ class ScenarioReport:
     decompositions: DecompositionReport | None = None
 
     def to_dict(self) -> dict:
+        """The report as `to_json` writes it, with its keys in sorted order at every level."""
         n, w = self.nullifiers, self.witness
         return {
             "config": self.config.to_dict(),
+            "decompositions": None if self.decompositions is None else self.decompositions.to_dict(),
             "inputs": {
-                "squeezing_db": list(self.config.squeezing_db),
                 "antisqueezing_db": list(self.config.antisqueezing_db),
+                "squeezing_db": list(self.config.squeezing_db),
                 "squeezing_r": list(self.config.squeezing_r),
             },
             "nullifiers": None if n is None else {
                 "graph": n.graph_name,
-                "nodes": [{**vars(e), "level_db": e.level_db} for e in n.entries],
+                "nodes": [dict(sorted({**vars(e), "level_db": e.level_db}.items())) for e in n.entries],
             },
             "witness": None if w is None else {
-                "graph": w.graph_name,
                 "delegated_to": w.delegated_to,
+                "fully_inseparable": w.fully_inseparable,
+                "graph": w.graph_name,
                 "inequalities": [
-                    {"label": i.label, "lhs": i.lhs, "bound": i.bound, "satisfied": i.satisfied}
+                    {"bound": i.bound, "label": i.label, "lhs": i.lhs, "satisfied": i.satisfied}
                     for i in w.inequalities
                 ],
-                "fully_inseparable": w.fully_inseparable,
             },
-            "decompositions": None if self.decompositions is None else self.decompositions.to_dict(),
         }
 
     @classmethod
@@ -507,7 +487,40 @@ class ScenarioReport:
         return report
 
     def to_json(self) -> str:
-        return _json(self.to_dict()) + "\n"
+        """`json.dumps(self.to_dict(), sort_keys=True, indent=2)` and a newline, filled into the shape's template.
+
+        The values are gathered in the order of the sorted keys, as `json.dumps` writes them; a report holding a
+        non-finite float is written by `json.dumps` itself.
+        """
+        cfg, n, w, d = self.config, self.nullifiers, self.witness, self.decompositions
+        values = [*cfg.antisqueezing_db, *chain.from_iterable(cfg.graph_edges or ()), *cfg.jitter, *cfg.loss,
+                  _string(cfg.loss_placement), _string(cfg.network), _string(cfg.output_format), *cfg.squeezing_db,
+                  _BOOLS[cfg.verify_decompositions]]
+        if d is not None:
+            values += [_string(v) if k == "network" else v for c in d.checks for k, v in sorted(vars(c).items())]
+            values.append(d.square_relation_deviation)
+        values += [*cfg.antisqueezing_db, *cfg.squeezing_db, *cfg.squeezing_r]
+        analytic = None if n is None else n.analytic_variances
+        if n is not None:
+            columns = (n.levels_db, range(1, len(n.variances) + 1), n.graph.references, n.variances)
+            values.append(_string(n.graph_name))
+            values += chain.from_iterable(zip(*columns) if analytic is None else zip(analytic, *columns))
+        if w is not None:
+            values += [*([] if w.delegated_to is None else [_string(w.delegated_to)]), _BOOLS[w.fully_inseparable],
+                       _string(w.graph_name)]
+            for label, lhs in zip(w.labels, w.lhs_values):
+                values += [WitnessInequality.bound, _string(label), lhs, _BOOLS[lhs < WitnessInequality.bound]]
+        values = tuple(map(str, values))
+        if not _DUMPS_ONLY.isdisjoint(values):
+            return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        shape = (cfg.n_modes, cfg.graph_edges and len(cfg.graph_edges), n and (len(n.variances), analytic is None),
+                 w and (len(w.lhs_values), w.delegated_to), d and len(d.checks))  # a report section is never falsy
+        if (template := _TEMPLATES.get(shape)) is None:
+            marked = json.dumps(_slots(self.to_dict()), sort_keys=True, indent=2)
+            template = _TEMPLATES[shape] = marked.replace('"%s"', "%s") + "\n"
+            if len(_TEMPLATES) > NETWORK_CACHE_SIZE:
+                del _TEMPLATES[next(iter(_TEMPLATES))]
+        return template % values
 
     def to_text(self) -> str:
         cfg = self.config
@@ -520,24 +533,23 @@ class ScenarioReport:
             f"loss eta ({cfg.loss_placement:<4})    : {row(cfg.loss, '.3f')}",
             f"jitter sigma [rad] : {row(cfg.jitter, '.3f')}",
         ]
-        if self.nullifiers is not None:
-            lines.append("")
-            lines.append(f"nullifier variances (graph {self.nullifiers.graph_name})")
+        n, w = self.nullifiers, self.witness
+        if n is not None:
+            lines += ["", f"nullifier variances (graph {n.graph_name})"]
             lines.append("  node  variance  reference  level_dB     ideal")
-            for e in self.nullifiers.entries:
-                ideal = f"{e.analytic_variance:9.3f}" if e.analytic_variance is not None else "        -"
-                lines.append(f"  {e.node:4d}  {e.variance:8.3f}  {e.reference:9.3f}  {e.level_db:8.1f} {ideal}")
-        if self.witness is not None:
-            lines.append("")
-            delegated = f" (tested on {self.witness.delegated_to})" if self.witness.delegated_to else ""
-            lines.append(f"witness inequalities, bound 1{delegated}")
-            for ineq in self.witness.inequalities:
-                verdict = "satisfied" if ineq.satisfied else "violated"
-                lines.append(f"  {ineq.label:<13} lhs {ineq.lhs:5.2f}  {verdict}")
-            lines.append(f"fully inseparable: {'yes' if self.witness.fully_inseparable else 'no'}")
+            rows = zip(n.variances, n.graph.references, n.levels_db, n.analytic_variances or [None] * len(n.variances))
+            for a, (variance, reference, level_db, ideal) in enumerate(rows, start=1):
+                ideal = f"{ideal:9.3f}" if ideal is not None else "        -"
+                lines.append(f"  {a:4d}  {variance:8.3f}  {reference:9.3f}  {level_db:8.1f} {ideal}")
+        if w is not None:
+            delegated = f" (tested on {w.delegated_to})" if w.delegated_to else ""
+            lines += ["", f"witness inequalities, bound 1{delegated}"]
+            for label, lhs in zip(w.labels, w.lhs_values):
+                verdict = "satisfied" if lhs < WitnessInequality.bound else "violated"
+                lines.append(f"  {label:<13} lhs {lhs:5.2f}  {verdict}")
+            lines.append(f"fully inseparable: {'yes' if w.fully_inseparable else 'no'}")
         if self.decompositions is not None:
-            lines.append("")
-            lines.append(self.decompositions.to_text())
+            lines += ["", self.decompositions.to_text()]
         return "\n".join(lines) + "\n"
 
     def render(self) -> str:
@@ -673,7 +685,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
     for field, bound in (("start", start), ("stop", stop)):
         if not is_real(bound):
             raise ConfigError(field, f"expected a real number, got {bound!r}")
-    if not math.isfinite(stop - start):
+        if not abs(bound) <= sys.float_info.max:  # infinite, NaN, or an int or a fraction past the float range
+            raise ConfigError(field, "expected a finite number within the float range")
+    if not math.isfinite(float(stop) - float(start)):
         raise ConfigError("start", f"sweep bounds must be finite with a finite span, got {start!r} to {stop!r}")
     network = _resolve_network(cfg)
     if network[1] is None:

@@ -248,6 +248,23 @@ class TestRunScenario:
         assert "-6.0" in text
         assert "fully inseparable: yes" in text
 
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    @pytest.mark.parametrize("network", ["square4", "netlist"])
+    def test_a_rendered_report_builds_no_entries(self, monkeypatch, network, output_format, linear_netlist):
+        netlist = network == "netlist"
+        cfg = ScenarioConfig(linear_netlist if netlist else network, squeezing_db=-6.0, loss=0.9, jitter=0.03,
+                             graph_edges=LINEAR_EDGES if netlist else None, output_format=output_format)
+        run_scenario(cfg).render()  # the first JSON report of a shape writes the shape's template from `to_dict`
+        counts = dict.fromkeys(("NullifierEntry", "WitnessInequality"), 0)
+        for name in counts:
+            cls = getattr(analysis, name)
+            monkeypatch.setattr(cls, "__init__", counting(counts, name, cls.__init__))
+        report = run_scenario(cfg)
+        report.render()
+        assert counts == {"NullifierEntry": 0, "WitnessInequality": 0}
+        assert "entries" not in vars(report.nullifiers)
+        assert report.witness is None or "inequalities" not in vars(report.witness)
+
 
 class TestSweep:
     def test_squeezing_sweep_levels_track_axis(self):
@@ -343,6 +360,12 @@ class TestSweep:
         with pytest.raises(ConfigError) as exc:
             run_sweep(ScenarioConfig("linear4"), "loss", start, stop, steps)
         assert (exc.value.field, str(exc.value)) == (field, f"{field}: expected {kind}, got {value!r}")
+
+    @pytest.mark.parametrize("start,stop,field", [(10**400, 0, "start"), (0, 10**400, "stop"), (-10**308, 10**308, "start")])
+    def test_grid_bounds_past_the_float_range_are_config_errors(self, start, stop, field):
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(ScenarioConfig("linear4"), "loss", start, stop, 3)
+        assert exc.value.field == field
 
     def test_integral_values_pass_as_integers(self, linear_netlist):
         cfg = ScenarioConfig(linear_netlist, squeezing_db=[-6.0] * 4, graph_edges=[[1.0, np.int64(2)], [2, 3], [3, 4]])
