@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import ClassVar
 
 import numpy as np
 
@@ -139,48 +138,33 @@ def nullifier_coefficients(graph: GraphSpec, a: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NullifierEntry:
-    """One node's measured nullifier variance, its vacuum-input reference and closed-form value.
-
-    The dB level is derived from the variance and the reference, never stored.
-    """
-
-    node: int
-    variance: float
-    reference: float
-    analytic_variance: float | None = None
-
-    @property
-    def level_db(self) -> float:
-        return variance_to_db(self.variance, self.reference)
-
-
-@dataclass(frozen=True)
 class NullifierReport:
     """Per-node nullifier variances with dB levels against the vacuum reference.
 
     A report stores what a run measures, one variance per node in node
-    order, with its graph and the input squeezing parameters; the entries,
-    the dB levels and the graph name are derived when they are read.
+    order, with its graph and the input squeezing parameters; the dB levels,
+    the closed-form column and the graph name are derived when they are read.
     """
 
     graph: GraphSpec
     variances: tuple[float, ...]
     squeezing_r: tuple[float, ...] | None = None
 
-    @classmethod
-    def for_graph(cls, graph: GraphSpec, variances, squeezing_r=None) -> NullifierReport:
-        """The report of one variance per node of `graph`, in node order.
+    def __init__(self, graph: GraphSpec, variances, squeezing_r=None):
+        """The report of one variance per node of `graph`, in node order, each kept as a Python float.
 
-        The reference of node a is its vacuum-input variance (1 + |N(a)|)/4.
-        `squeezing_r`, the four input squeezing parameters of a built-in
-        graph, gives the closed-form expectation column
-        (:func:`analytic_residual_variances`); None, or a custom graph,
-        leaves it empty.
+        `squeezing_r`, one input squeezing parameter per node, gives a built-in graph its closed-form column
+        (:func:`analytic_residual_variances`); None, or a custom graph, leaves it empty.
         """
+        variances = tuple(map(float, variances))
         if len(variances) != graph.n_nodes:
             raise ValueError(f"{len(variances)} variances for the {graph.n_nodes} nodes of graph {graph.name!r}")
-        return cls(graph, tuple(variances), None if squeezing_r is None else tuple(squeezing_r))
+        if squeezing_r is not None:
+            squeezing_r = tuple(squeezing_r)
+            if len(squeezing_r) != graph.n_nodes:
+                raise ValueError(f"{len(squeezing_r)} squeezing parameters for the {graph.n_nodes} nodes "
+                                 f"of graph {graph.name!r}")
+        vars(self).update(graph=graph, variances=variances, squeezing_r=squeezing_r)
 
     @property
     def graph_name(self) -> str:
@@ -191,12 +175,6 @@ class NullifierReport:
         """The closed-form column of a built-in graph with `squeezing_r`, in node order; else None."""
         named = self.squeezing_r is not None and self.graph.name in NAMED_GRAPH_EDGES
         return analytic_residual_variances(self.graph.name, self.squeezing_r).tolist() if named else None
-
-    @cached_property
-    def entries(self) -> tuple[NullifierEntry, ...]:
-        n = self.graph.n_nodes
-        return tuple(map(NullifierEntry, range(1, n + 1), self.variances, self.graph.references,
-                         self.analytic_variances or [None] * n))
 
     @property
     def levels_db(self) -> tuple[float, ...]:
@@ -213,13 +191,13 @@ def nullifier_report(
     Args:
         state: the candidate cluster state, with one mode per graph node.
         graph: graph defining the nullifier of each node.
-        squeezing_r: optional input squeezing parameters (r_1 .. r_4) used
-            for the analytic column; ignored for custom graphs.
+        squeezing_r: optional input squeezing parameters, one per node, for
+            the analytic column of a built-in graph.
     """
     if state.n_modes != graph.n_nodes:
         raise ValueError(f"state has {state.n_modes} modes but graph has {graph.n_nodes} nodes")
     variances = combination_variances(state.cov_factor, graph.coefficients)
-    return NullifierReport.for_graph(graph, variances.tolist(), squeezing_r)
+    return NullifierReport(graph, variances, squeezing_r)
 
 
 def analytic_residual_variances(kind: str, r) -> np.ndarray:
@@ -266,17 +244,8 @@ def witness_tested_on(graph: GraphSpec) -> str | None:
     return tested if tested in WITNESS_PAIRS else None
 
 
-@dataclass(frozen=True)
-class WitnessInequality:
-    """One pairwise inequality: a sum of two nullifier variances, satisfied below the bound 1."""
-
-    label: str
-    lhs: float
-    bound: ClassVar[float] = 1.0
-
-    @property
-    def satisfied(self) -> bool:
-        return self.lhs < self.bound
+# Every witness inequality is satisfied when its sum of two nullifier variances lies below this bound.
+WITNESS_BOUND = 1.0
 
 
 @dataclass(frozen=True)
@@ -284,29 +253,27 @@ class WitnessReport:
     """Outcome of the full-inseparability test: full inseparability holds when every inequality is satisfied.
 
     A report stores what a run measures, the sums in `WITNESS_PAIRS` order,
-    with its graph; the inequalities, the verdict and `delegated_to` (the
-    locally equivalent graph the verdict was computed on, as square4 inherits
-    the linear4 inequalities, or None) are derived when they are read.
+    with its graph; the labels, the verdict and `delegated_to` (the locally
+    equivalent graph the verdict was computed on, as square4 inherits the
+    linear4 inequalities, or None) are derived when they are read.
     """
 
     graph: GraphSpec
     lhs_values: tuple[float, ...]
 
-    @classmethod
-    def for_graph(cls, graph: GraphSpec, lhs) -> WitnessReport:
-        """The report of a built-in graph's inequality sums, one per pair of `WITNESS_PAIRS`.
+    def __init__(self, graph: GraphSpec, lhs_values):
+        """The report of a built-in graph's inequality sums, one per pair of `WITNESS_PAIRS`, each a Python float.
 
-        square4 carries the linear4 inequalities, as computed on the locally
-        equivalent linear state; a graph without a pairing raises
-        :class:`UnsupportedGraphError`.
+        square4 carries the linear4 inequalities, as computed on the locally equivalent linear state; a graph
+        without a pairing raises :class:`UnsupportedGraphError`.
         """
         tested = witness_tested_on(graph)
         if tested is None:
             raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
-        pairs = WITNESS_PAIRS[tested]
-        if len(lhs) != len(pairs):
-            raise ValueError(f"{len(lhs)} sums for the {len(pairs)} inequalities of graph {graph.name!r}")
-        return cls(graph, tuple(lhs))
+        lhs_values, pairs = tuple(map(float, lhs_values)), WITNESS_PAIRS[tested]
+        if len(lhs_values) != len(pairs):
+            raise ValueError(f"{len(lhs_values)} sums for the {len(pairs)} inequalities of graph {graph.name!r}")
+        vars(self).update(graph=graph, lhs_values=lhs_values)
 
     @property
     def graph_name(self) -> str:
@@ -322,13 +289,9 @@ class WitnessReport:
         """Each inequality's label, `node<a>+node<b>` for its pair (a, b) of `WITNESS_PAIRS`."""
         return tuple(f"node{a}+node{b}" for a, b in WITNESS_PAIRS[witness_tested_on(self.graph)])
 
-    @cached_property
-    def inequalities(self) -> tuple[WitnessInequality, ...]:
-        return tuple(map(WitnessInequality, self.labels, self.lhs_values))
-
     @property
     def fully_inseparable(self) -> bool:
-        return all(x < WitnessInequality.bound for x in self.lhs_values)
+        return all(x < WITNESS_BOUND for x in self.lhs_values)
 
 
 def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> WitnessReport:
@@ -344,4 +307,4 @@ def full_inseparability_verdict(state: GaussianState, graph: GraphSpec) -> Witne
     if pairs is None:
         raise UnsupportedGraphError(f"no witness pairing is defined for graph {graph.name!r}")
     variances = combination_variances(state.cov_factor, rows)
-    return WitnessReport.for_graph(graph, (variances[pairs[0]] + variances[pairs[1]]).tolist())
+    return WitnessReport(graph, variances[pairs[0]] + variances[pairs[1]])

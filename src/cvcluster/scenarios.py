@@ -16,18 +16,19 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import marshal
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 from cvcluster.analysis import (
+    WITNESS_BOUND,
     GraphSpec,
     NullifierReport,
-    WitnessInequality,
     WitnessReport,
     graph_by_name,
     witness_tested_on,
@@ -438,16 +439,16 @@ class ScenarioReport:
             },
             "nullifiers": None if n is None else {
                 "graph": n.graph_name,
-                "nodes": [dict(sorted({**vars(e), "level_db": e.level_db}.items())) for e in n.entries],
+                "nodes": [{"analytic_variance": ideal, "level_db": level, "node": a, "reference": ref, "variance": v}
+                          for a, v, ref, level, ideal in zip(count(1), n.variances, n.graph.references, n.levels_db,
+                                                             n.analytic_variances or repeat(None))],
             },
             "witness": None if w is None else {
                 "delegated_to": w.delegated_to,
                 "fully_inseparable": w.fully_inseparable,
                 "graph": w.graph_name,
-                "inequalities": [
-                    {"bound": i.bound, "label": i.label, "lhs": i.lhs, "satisfied": i.satisfied}
-                    for i in w.inequalities
-                ],
+                "inequalities": [{"bound": WITNESS_BOUND, "label": label, "lhs": lhs, "satisfied": lhs < WITNESS_BOUND}
+                                 for label, lhs in zip(w.labels, w.lhs_values)],
             },
         }
 
@@ -457,7 +458,7 @@ class ScenarioReport:
 
         Only the config, each node's `variance`, each inequality's `lhs` and
         the `decompositions` section are read.  Everything else is derived
-        from the config by the builders `run_scenario` uses: which sections
+        from the config by the constructors `run_scenario` uses: which sections
         are present, the graph, references and analytic column, the dB
         levels, the witness labels, `delegated_to`, the verdicts and
         `inputs`.  A malformed report, a measurement that is not a positive
@@ -474,15 +475,18 @@ class ScenarioReport:
         nullifiers = witness = decompositions = None
         if graph is not None:
             nullifiers = _read_section(data, "nullifiers", "nodes", "variance",
-                                       lambda variances: NullifierReport.for_graph(graph, variances, cfg.squeezing_r))
+                                       lambda variances: NullifierReport(graph, variances, cfg.squeezing_r))
             if witness_tested_on(graph):
-                witness = _read_section(data, "witness", "inequalities", "lhs",
-                                        functools.partial(WitnessReport.for_graph, graph))
+                witness = _read_section(data, "witness", "inequalities", "lhs", functools.partial(WitnessReport, graph))
         if cfg.verify_decompositions:
             decompositions = DecompositionReport.from_dict(data.get("decompositions"))
         report = cls(cfg, nullifiers, witness, decompositions)
-        path = _first_difference(report.to_dict(), data)
-        if path is not None:
+        derived = report.to_dict()
+        try:  # version 2 shares no references and writes a float's 8 bytes: int, float, bool, -0.0 and key order differ
+            same = marshal.dumps(derived, 2) == marshal.dumps(data, 2)
+        except ValueError:  # an object marshal cannot write, or nesting too deep
+            same = False
+        if not same and (path := _first_difference(derived, data)) is not None:
             raise ConfigError(path, "does not match the report derived from the config and the measurements")
         return report
 
@@ -509,7 +513,7 @@ class ScenarioReport:
             values += [*([] if w.delegated_to is None else [_string(w.delegated_to)]), _BOOLS[w.fully_inseparable],
                        _string(w.graph_name)]
             for label, lhs in zip(w.labels, w.lhs_values):
-                values += [WitnessInequality.bound, _string(label), lhs, _BOOLS[lhs < WitnessInequality.bound]]
+                values += [WITNESS_BOUND, _string(label), lhs, _BOOLS[lhs < WITNESS_BOUND]]
         values = tuple(map(str, values))
         if not _DUMPS_ONLY.isdisjoint(values):
             return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -545,7 +549,7 @@ class ScenarioReport:
             delegated = f" (tested on {w.delegated_to})" if w.delegated_to else ""
             lines += ["", f"witness inequalities, bound 1{delegated}"]
             for label, lhs in zip(w.labels, w.lhs_values):
-                verdict = "satisfied" if lhs < WitnessInequality.bound else "violated"
+                verdict = "satisfied" if lhs < WITNESS_BOUND else "violated"
                 lines.append(f"  {label:<13} lhs {lhs:5.2f}  {verdict}")
             lines.append(f"fully inseparable: {'yes' if w.fully_inseparable else 'no'}")
         if self.decompositions is not None:
@@ -601,8 +605,8 @@ def run_scenario(cfg: ScenarioConfig, _network=None, _measured=None) -> Scenario
     network = _resolve_network(cfg) if _network is None else _network
     variances, lhs = _measure([cfg], network)[0] if _measured is None else _measured
     graph = network[1]
-    nullifiers = None if variances is None else NullifierReport.for_graph(graph, variances, cfg.squeezing_r)
-    witness = None if lhs is None else WitnessReport.for_graph(graph, lhs)
+    nullifiers = None if variances is None else NullifierReport(graph, variances, cfg.squeezing_r)
+    witness = None if lhs is None else WitnessReport(graph, lhs)
     decompositions = verify_decompositions() if cfg.verify_decompositions else None
     return ScenarioReport(cfg, nullifiers, witness, decompositions)
 

@@ -165,10 +165,10 @@ def test_criterion_5_reported_witness_values():
     """Measured dB levels reconstruct the published witness sums."""
     refs_l = (0.5, 0.75, 0.75, 0.5)
     v = [db_to_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs_l)]
-    linear_lhs = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]]).lhs_values
+    linear_lhs = WitnessReport(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]]).lhs_values
     refs_t = (1.0, 0.5, 0.5, 0.5)
     w = [db_to_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs_t)]
-    tshape_lhs = WitnessReport.for_graph(tshape4(), [w[1] + w[0], w[2] + w[0], w[3] + w[0]]).lhs_values
+    tshape_lhs = WitnessReport(tshape4(), [w[1] + w[0], w[2] + w[0], w[3] + w[0]]).lhs_values
     linear_ok = np.allclose(linear_lhs, (0.34, 0.42, 0.35), atol=0.01)
     tshape_ok = np.allclose(tshape_lhs, (0.42, 0.43, 0.42), atol=0.03)
     below_bound = all(x < 1 for x in linear_lhs + tshape_lhs)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cvcluster.analysis import (
+    WITNESS_BOUND,
     GraphSpec,
+    NullifierReport,
     UnsupportedGraphError,
     WitnessReport,
     analytic_residual_variances,
@@ -120,13 +122,13 @@ class TestNullifierReport:
     def test_ideal_linear_first_node(self):
         r = 0.55
         report = nullifier_report(cluster_state("linear4", [r] * 4), linear4())
-        assert report.entries[0].variance == pytest.approx(math.exp(-2 * r) / 2, rel=1e-12)
+        assert report.variances[0] == pytest.approx(math.exp(-2 * r) / 2, rel=1e-12)
 
     def test_vacuum_inputs_give_reference_levels(self):
         report = nullifier_report(apply_unitary(vacuum(4), NETWORKS["linear4"][0]()), linear4())
         assert report.variances == pytest.approx(VACUUM_RESIDUALS["linear4"], abs=TOL)
         assert report.levels_db == pytest.approx((0.0,) * 4, abs=1e-12)
-        assert [e.reference for e in report.entries] == [0.5, 0.75, 0.75, 0.5]
+        assert report.graph.references == (0.5, 0.75, 0.75, 0.5)
 
     def test_square_levels_equal_input_squeezing(self):
         s = -4.2
@@ -137,13 +139,25 @@ class TestNullifierReport:
     def test_analytic_column(self):
         r = (0.2, 0.4, 0.6, 0.8)
         report = nullifier_report(cluster_state("linear4", r), linear4(), squeezing_r=r)
-        for entry, expected in zip(report.entries, analytic_residual_variances("linear4", r)):
-            assert entry.analytic_variance == pytest.approx(expected, rel=1e-12)
+        assert report.analytic_variances == pytest.approx(analytic_residual_variances("linear4", r), rel=1e-12)
 
     @pytest.mark.parametrize("entry", [nullifier_report, full_inseparability_verdict])
     def test_dimension_mismatch_rejected(self, entry):
         with pytest.raises(ValueError, match="^state has 3 modes but graph has 4 nodes$"):
             entry(vacuum(3), linear4())
+
+    def test_one_variance_per_node(self):
+        with pytest.raises(ValueError, match="^2 variances for the 4 nodes of graph 'linear4'$"):
+            NullifierReport(graph_by_name("linear4"), (0.1, 0.2))
+
+    def test_one_squeezing_parameter_per_node(self):
+        with pytest.raises(ValueError, match="^3 squeezing parameters for the 4 nodes of graph 'tshape4'$"):
+            NullifierReport(tshape4(), (0.1,) * 4, (0.5,) * 3)
+
+    def test_numpy_columns_are_kept_as_python_floats(self):
+        report = NullifierReport(square4(), np.array([0.1, 0.2, 0.3, 0.4]), np.full(4, 0.7))
+        assert report == NullifierReport(square4(), [0.1, 0.2, 0.3, 0.4], (0.7,) * 4)
+        assert {type(v) for v in [*report.variances, *report.levels_db, *report.analytic_variances]} == {float}
 
 
 class TestAnalyticResiduals:
@@ -202,18 +216,32 @@ class TestEquivalenceIdentities:
             equivalence_identities_check(vacuum(3))
 
 
-class TestWitnessForGraph:
+class TestWitnessReport:
+    def test_a_graph_without_a_pairing_has_no_witness(self):
+        with pytest.raises(UnsupportedGraphError, match="^no witness pairing is defined for graph 'custom'$"):
+            WitnessReport(GraphSpec(4, linear4().edges, "custom"), (0.2,))
+
+    def test_one_sum_per_inequality(self):
+        with pytest.raises(ValueError, match="^2 sums for the 3 inequalities of graph 'square4'$"):
+            WitnessReport(square4(), (0.2, 0.3))
+
+    def test_numpy_sums_are_kept_as_python_floats(self):
+        report = WitnessReport(tshape4(), np.array([0.4, 0.5, 1.0]))
+        assert report == WitnessReport(tshape4(), [0.4, 0.5, 1.0])
+        assert {type(v) for v in report.lhs_values} == {float}
+        assert report.fully_inseparable is False
+
     def test_linear_measured_levels(self):
         refs = (0.5, 0.75, 0.75, 0.5)
         v = [db_to_variance(db, ref) for db, ref in zip((-5.4, -5.8, -5.3, -5.8), refs)]
-        report = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
+        report = WitnessReport(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
         assert report.lhs_values == pytest.approx((0.34, 0.42, 0.35), abs=0.01)
         assert report.fully_inseparable
 
     def test_tshape_measured_levels(self):
         refs = (1.0, 0.5, 0.5, 0.5)
         v = [db_to_variance(db, ref) for db, ref in zip((-6.0, -5.2, -4.9, -5.2), refs)]
-        report = WitnessReport.for_graph(tshape4(), [v[1] + v[0], v[2] + v[0], v[3] + v[0]])
+        report = WitnessReport(tshape4(), [v[1] + v[0], v[2] + v[0], v[3] + v[0]])
         # one-decimal dB readings reconstruct to ~(0.40, 0.41, 0.40)
         assert report.lhs_values == pytest.approx((0.42, 0.43, 0.42), abs=0.03)
         assert report.lhs_values == pytest.approx((0.402, 0.413, 0.402), abs=0.002)
@@ -224,7 +252,7 @@ class TestWitnessForGraph:
         report = full_inseparability_verdict(state, linear4())
         assert report.lhs_values == pytest.approx((1.25, 1.5, 1.25), abs=1e-15)
         assert not report.fully_inseparable
-        assert all(not ineq.satisfied for ineq in report.inequalities)
+        assert all(lhs >= WITNESS_BOUND for lhs in report.lhs_values)
 
 
 class TestFullInseparabilityVerdict:
@@ -291,10 +319,10 @@ class TestFullInseparabilityVerdict:
         rng = np.random.default_rng(23)
         for _ in range(25):
             v = rng.uniform(0.05, 0.49, 4)
-            before = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
+            before = WitnessReport(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
             k = rng.integers(0, 4)
             v[k] *= rng.uniform(0.1, 0.999)
-            after = WitnessReport.for_graph(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
+            after = WitnessReport(linear4(), [v[0] + v[1], v[2] + v[1], v[2] + v[3]])
             if before.fully_inseparable:
                 assert after.fully_inseparable
 

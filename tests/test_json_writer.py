@@ -26,6 +26,7 @@ from cvcluster.scenarios import (
     DecompositionReport,
     ScenarioConfig,
     ScenarioReport,
+    SweepResult,
     run_scenario,
 )
 
@@ -146,8 +147,8 @@ def hand_built(variance=0.5, lhs=0.5, deviation=1e-16):
     check = DecompositionCheck("linear", deviation, 0.0, 1e-16, 1e-15)
     return ScenarioReport(
         ScenarioConfig("linear4", squeezing_db=-6.0, output_format="json", verify_decompositions=True),
-        NullifierReport.for_graph(graph, [0.1, variance, 0.1, 0.1], (0.7,) * 4),
-        WitnessReport.for_graph(graph, [lhs, 0.2, 0.2]),
+        NullifierReport(graph, [0.1, variance, 0.1, 0.1], (0.7,) * 4),
+        WitnessReport(graph, [lhs, 0.2, 0.2]),
         DecompositionReport((check, check), 0.0),
     )
 
@@ -160,3 +161,19 @@ def hand_built(variance=0.5, lhs=0.5, deviation=1e-16):
         "numpy floats"])
 def test_hand_built_reports_are_written_as_json_dumps_writes_them(report):
     assert written_by_json_dumps(report)
+
+
+def test_reports_built_from_numpy_arrays_write_what_list_built_ones_write():
+    graph = graph_by_name("linear4")
+    cfg = ScenarioConfig("linear4", squeezing_db=[-6.0, -5.0, -4.0, -3.0], output_format="json")
+
+    def report(column):
+        nullifiers = NullifierReport(graph, column([0.1, 0.3, 0.2, 0.1]), column(cfg.squeezing_r))
+        return ScenarioReport(cfg, nullifiers, WitnessReport(graph, column([0.4, 0.5, 1.0])))
+
+    listed, arrayed = report(list), report(np.array)
+    assert arrayed.to_json() == listed.to_json()
+    assert arrayed.to_text() == listed.to_text()
+    csv = SweepResult("loss", (1.0, 0.5), (arrayed, arrayed)).to_csv()
+    assert csv == SweepResult("loss", (1.0, 0.5), (listed, listed)).to_csv()
+    assert "np.float64(" not in csv

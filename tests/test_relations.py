@@ -54,10 +54,11 @@ def test_each_variance_is_affine_in_a_uniform_transmissivity(data, netlist):
         jitter=data.draw(st.lists(SIGMA, min_size=4, max_size=4)),
         graph_edges=((1, 2), (2, 3), (3, 4)) if network == netlist else None,
     )
-    lossless = run_scenario(cfg).nullifiers.entries
+    lossless = run_scenario(cfg).nullifiers
     steps = data.draw(st.sampled_from([1, 4, 12]), label="steps")
     sweep = run_sweep(cfg, "loss", data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0)), steps)
     for eta, report in zip(sweep.values, sweep.reports):
-        for at_one, entry in zip(lossless, report.nullifiers.entries):
-            expected = eta * at_one.variance + (1.0 - eta) * entry.reference
-            assert abs(entry.variance - expected) <= TOLERANCE * expected, (eta, entry.node, entry.variance, expected)
+        columns = zip(lossless.variances, report.nullifiers.variances, lossless.graph.references)
+        for node, (at_one, variance, reference) in enumerate(columns, start=1):
+            expected = eta * at_one + (1.0 - eta) * reference
+            assert abs(variance - expected) <= TOLERANCE * expected, (eta, node, variance, expected)
