@@ -454,9 +454,11 @@ class InputFrame:
     `picks` the entry of a point's gain table that scales each: g_r at r, 0
     at n, and g_m - g_q at n + 1 + i for the i-th mode pair m < q (the part
     is negated where it takes g_q - g_m).  `point_bytes` bounds what one
-    point adds to a pass.  The last 16 jitters, losses and (loss, jitter)
-    pairs keep their scalars: a sweep moves one field, and lossless or
-    jitter-free scenarios share theirs.
+    point adds to a pass.  A pass of one point, every scenario, forms its
+    scalars as Python floats, and the last 16 jitters, losses and (loss,
+    jitter) pairs keep theirs, because lossless or jitter-free scenarios
+    share their scalars; a longer pass forms them as whole-pass arrays
+    (`_table`) and skips the caches.
     """
 
     def __init__(self, symplectic: np.ndarray, rows: np.ndarray):
@@ -478,6 +480,7 @@ class InputFrame:
             picks += [ref, *([i for i, _ in row] for row in steps)]
         self.n = n
         self.pairs = tuple(pairs)
+        self.pair_modes = _read_only(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)  # (m, q) of each pair
         self.starts = _read_only(starts)
         self.quads = _read_only(quads)
         self.swap = _read_only(np.roll(np.arange(2 * n), n))  # x_m <-> p_m
@@ -486,7 +489,8 @@ class InputFrame:
         self.terms = _read_only(np.array(terms))
         self.picks = _read_only(np.array(picks))
         self.squares = _read_only(symplectic * symplectic)
-        self.point_bytes = 8 * (3 * self.terms.size + symplectic.size + 12 * n + len(pairs))
+        # u, its products and the Gram noise; the table, the array form's per-mode and per-pair temporaries
+        self.point_bytes = 8 * (3 * self.terms.size + symplectic.size + 32 * n + 24 * len(pairs))
         frame = weakref.proxy(self)  # a bound method in a cache would make a cycle and keep an evicted frame alive
         for name in ("_jitter_terms", "_loss_terms", "_gains"):
             setattr(self, name, functools.lru_cache(maxsize=16)(functools.partial(getattr(InputFrame, name), frame)))
@@ -522,22 +526,54 @@ class InputFrame:
         gamma = [(x + y) * b + b * c * c for x, y, b, c in zip(vcc, vss, vacua, c1)]
         return (*gains, 0.0, *steps, *alpha, *beta, *gamma)
 
+    def _table(self, levels, loss, jitter, post: bool) -> np.ndarray:
+        """The (k, 6n + 1 + P) scalars of a pass, as `variances` forms one point's: its input variances, then `_gains`.
+
+        Whole-pass arrays take only +, -, *, / and sqrt, in the order of the
+        Python floats; the powers of the levels, the jitter moments and each
+        pair's nonzero expm1 come from `math`, once per distinct value,
+        because numpy's power, exp and expm1 round some inputs differently.
+        """
+        loss, jitter = np.array(loss, dtype=float), np.array(jitter, dtype=float)
+        m, q = self.pair_modes
+        v = VACUUM_VARIANCE * _per_value(lambda level: 10.0 ** (level / 10.0), np.array(levels, dtype=float))
+        if not post:
+            doubled = np.hstack((loss, loss))
+            v = doubled * v + (1.0 - doubled) * VACUUM_VARIANCE
+        etas = loss if post else np.ones_like(loss)
+        vacua = (1.0 - etas) * VACUUM_VARIANCE
+        roots = np.sqrt(etas)
+        vcc, vss, c1 = np.moveaxis(_per_value(_jitter_moments, jitter), -1, 0)
+        s = np.minimum(jitter, 1e100)  # c1 is 0 far below where sigma^2 overflows
+        xs = (s[:, q] - s[:, m]) * (s[:, q] + s[:, m]) * 0.5
+        nonzero = xs != 0.0
+        expm1s = np.zeros_like(xs)
+        expm1s[nonzero] = _per_value(lambda x: math.copysign(math.expm1(-abs(x)), x), xs[nonzero])
+        c1_steps = np.maximum(c1[:, m], c1[:, q]) * expm1s
+        differ = etas[:, m] != etas[:, q]  # equal etas, both 0 included, step by 0
+        ratios = np.divide(etas[:, m] - etas[:, q], roots[:, m] + roots[:, q], out=np.zeros_like(xs), where=differ)
+        steps = ratios * c1[:, m] + roots[:, q] * c1_steps
+        gamma = (vcc + vss) * vacua + vacua * c1 * c1
+        return np.hstack((v, roots * c1, np.zeros((len(loss), 1)), steps, vcc * etas, vss * etas, gamma))
+
     def variances(self, levels, loss, jitter, post: bool) -> np.ndarray:
         """The (k, R) row variances of k points, each a row of the (k, 2n) `levels` and (k, n) `loss` and `jitter`.
 
         A point's levels are its antisqueezing, then its squeezing levels in
         dB, and its loss acts after the network if `post`; nothing is checked.
-        Its scalars are Python floats of the point alone, whatever the pass.
+        A pass of one point forms its scalars as Python floats, through the
+        caches that scenarios sharing a loss or a jitter hit; a longer pass
+        forms them as arrays over the pass (`_table`), to the same bits.
         """
         n, k = self.n, len(loss)
-        flat = []
-        for point_levels, point_loss, point_jitter in zip(levels, loss, jitter):
-            v = [VACUUM_VARIANCE * 10.0 ** (level / 10.0) for level in point_levels]
+        if k == 1:
+            (point_loss,), (point_jitter,) = loss, jitter
+            v = [VACUUM_VARIANCE * 10.0 ** (level / 10.0) for level in levels[0]]
             if not post:
                 v = [eta * x + (1.0 - eta) * VACUUM_VARIANCE for eta, x in zip(point_loss + point_loss, v)]
-            flat += v
-            flat += self._gains(point_loss, point_jitter, post)
-        values = np.array(flat).reshape(k, -1)
+            values = np.array([*v, *self._gains(point_loss, point_jitter, post)]).reshape(k, -1)
+        else:
+            values = self._table(levels, loss, jitter, post)
         width, noise_at = 2 * n, values.shape[1] - 3 * n
         v = values[:, :width]
         u = np.add.reduceat(values[:, width:noise_at].take(self.picks, axis=1) * self.terms, self.term_starts, axis=1)
@@ -550,6 +586,12 @@ class InputFrame:
         if noise.any():  # a zero noise would add nothing
             variances += np.add.reduceat(noise.take(self.quads, axis=1), self.starts, axis=1)
         return variances
+
+
+def _per_value(function, values: np.ndarray) -> np.ndarray:
+    """`function` of each entry of `values`, called on a Python float once per distinct value; its results stacked."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([function(x) for x in distinct.tolist()])[inverse.reshape(values.shape)]
 
 
 def variance_to_db(v: float, v_ref: float) -> float:

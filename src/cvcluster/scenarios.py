@@ -116,6 +116,8 @@ class ScenarioConfig:
     as the first per-mode list, or as its `MODES` header.
     `graph_edges` gives a netlist its cluster graph.  A run evaluates the
     witness when its graph has a witness pairing (`witness_tested_on`).
+    `squeezing_r`, the input squeezing parameters r of the squeezing levels,
+    is computed once, with the config; it is not a field.
     """
 
     network: str
@@ -162,6 +164,7 @@ class ScenarioConfig:
                 raise ConfigError(field, f"expected finite numbers, got {value!r}")
             expanded[field] = items
             object.__setattr__(self, field, values)
+        object.__setattr__(self, "squeezing_r", tuple(map(squeezing_db_to_r, self.squeezing_db)))
         self._check_ranges()
         if self.loss_placement not in ("pre", "post"):
             raise ConfigError("loss_placement", f"expected 'pre' or 'post', got {self.loss_placement!r}")
@@ -205,13 +208,15 @@ class ScenarioConfig:
         Gives what the constructor gives for those fields, without running it
         again, and checks nothing: `run_sweep` checks the grid's ranges.  When
         `squeezing_db` moves, modes configured pure (antisqueezing mirroring
-        squeezing) stay pure.
+        squeezing) stay pure.  Off the squeezing axis the point shares this
+        config's `squeezing_r`.
         """
         overrides = {axis: (value,) * self.n_modes}
         if axis == "squeezing_db":
             overrides["antisqueezing_db"] = tuple(
                 0.0 - value if a == -s else a for s, a in zip(self.squeezing_db, self.antisqueezing_db)
             )
+            overrides["squeezing_r"] = (squeezing_db_to_r(value),) * self.n_modes
         point = object.__new__(type(self))
         vars(point).update(vars(self), **overrides)
         return point
@@ -233,11 +238,6 @@ class ScenarioConfig:
     @property
     def n_modes(self) -> int:
         return len(self.squeezing_db)
-
-    @property
-    def squeezing_r(self) -> tuple[float, ...]:
-        """Input squeezing parameters r, one per mode, from the squeezing levels."""
-        return tuple(map(squeezing_db_to_r, self.squeezing_db))
 
 
 _CONFIG_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(ScenarioConfig)))
@@ -616,10 +616,10 @@ SWEEP_AXES = ("squeezing_db", "antisqueezing_db", "loss", "jitter")
 # Largest accepted sweep `steps`.  The sweep keeps a report per grid point, so
 # the flag alone would otherwise set the time and memory a run asks for: 10^13
 # steps failed to allocate the grid array itself.  10 000 is 50x a 200-point
-# sweep: 0.24-0.38 s for a loss sweep of `measured_gap`, loss and jitter on four
-# modes (one core of a 2-vCPU host), keeping 10 MiB of reports, and 0.13-0.21 s
-# more for its CSV.  Measurement adds at most STACK_BYTES on top, however many
-# points and modes it has.
+# sweep: 0.11-0.17 s for a loss sweep of `measured_gap`, loss and jitter on four
+# modes (one core of a 2-vCPU host), keeping 12 MiB of reports and grid, and
+# 0.10-0.18 s more for its CSV.  Measurement adds at most STACK_BYTES on top,
+# however many points and modes it has.
 MAX_SWEEP_STEPS = 10_000
 
 

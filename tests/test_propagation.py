@@ -27,6 +27,7 @@ from cvcluster.analysis import (
 from cvcluster.gaussian import (
     LEVEL_LIMIT_DB,
     GaussianState,
+    InputFrame,
     apply_unitary,
     impure_squeezed_inputs,
     lossy_channels,
@@ -197,28 +198,46 @@ CHANNEL_EDGES = [
 
 
 @pytest.mark.parametrize("placement", ["pre", "post"])
-@pytest.mark.parametrize("network", ["linear4", "square4", "tshape4", "netlist"])
+@pytest.mark.parametrize("network", ["linear4", "square4", "tshape4", "netlist", "wide"])
 @pytest.mark.parametrize("field, value", CHANNEL_EDGES, ids=[f"{f}={v!r}" for f, v in CHANNEL_EDGES])
 def test_a_pass_at_each_channel_edge_measures_each_point_as_alone(field, value, network, placement,
-                                                                  linear_netlist):
-    # the edge value on modes 1 and 3 of every point, and the points of the pass apart in another channel
+                                                                  linear_netlist, wide_netlist):
+    # the edge value on modes 1 and 3 of every point, and the points of the pass apart in another channel; the
+    # wide netlist's modes 5 to 8 repeat modes 1 to 4, so its complete graph also pairs modes of equal channels
     varied = "loss" if field == "jitter" else "jitter"
+    repeat = WIDE_MODES // 4 if network == "wide" else 1
+    path, edges = {"netlist": (linear_netlist, LINEAR_EDGES), "wide": (wide_netlist, WIDE_PAIRS)}.get(network,
+                                                                                                     (network, None))
     points = []
     for i in range(5):
         fields = {"squeezing_db": [-5.5, -6.3, -5.8, -6.0], "antisqueezing_db": [9.1, 11.9, 10.5, 11.2],
                   "loss": [0.9, 0.95, 0.92, 0.97], "jitter": [0.03, 0.01, 0.02, 0.05]}
+        fields = {name: values * repeat for name, values in fields.items()}
         fields[varied] = [v * (1.0 - 0.05 * i) for v in fields[varied]]
         for mode in (0, 2):
             fields[field][mode] = value
             if field == "squeezing_db":
                 fields["antisqueezing_db"][mode] = 0.0 - value  # pure
-        points.append(ScenarioConfig(linear_netlist if network == "netlist" else network, loss_placement=placement,
-                                     graph_edges=LINEAR_EDGES if network == "netlist" else None, **fields))
+        points.append(ScenarioConfig(path, loss_placement=placement, graph_edges=edges, **fields))
     network = scenarios._resolve_network(points[0])
+    if path == wide_netlist:  # a step for every pair of modes
+        assert len(scenarios._frame(*network).pairs) == len(WIDE_PAIRS)
     rows = scenarios._measure(points, network)
     for i, point in enumerate(points):
         assert rows[i] == scenarios._measure([point], network)[0], i
         assert all(v > 0.0 for v in rows[i][0]), i
+
+
+def test_a_pass_of_one_point_never_reaches_the_array_form():
+    cfg = ScenarioConfig("square4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
+    with mock.patch.object(InputFrame, "_table", side_effect=AssertionError("a pass of one reached the array form")):
+        run_scenario(cfg)
+        run_sweep(cfg, "loss", 0.5, 1.0, 1)
+        with mock.patch.object(scenarios, "STACK_BYTES", 1):  # a pass per point
+            run_sweep(cfg, "jitter", 0.0, 0.1, 3)
+    with mock.patch.object(InputFrame, "_table", autospec=True, side_effect=InputFrame._table) as table:
+        run_sweep(cfg, "loss", 0.5, 1.0, 2)
+    assert table.call_count == 1
 
 
 def test_a_pass_holds_at_most_the_byte_budget(tmp_path):

@@ -291,6 +291,16 @@ class TestSweep:
         finally:
             gc.enable()
 
+    def test_a_loss_sweep_computes_the_squeezing_parameters_once(self, monkeypatch):
+        # a point off the squeezing axis shares its base config's squeezing parameters
+        counts = {"squeezing_db_to_r": 0}
+        monkeypatch.setattr(scenarios, "squeezing_db_to_r",
+                            counting(counts, "squeezing_db_to_r", scenarios.squeezing_db_to_r))
+        cfg = ScenarioConfig("linear4", squeezing_db=-6.3, antisqueezing_db=11.0, loss=0.93, jitter=0.04)
+        result = run_sweep(cfg, "loss", 0.5, 1.0, 200)
+        assert json.loads(result.reports[-1].to_json())["inputs"]["squeezing_r"] == list(cfg.squeezing_r)
+        assert counts["squeezing_db_to_r"] <= 4
+
     def test_loss_sweep_monotone_variances(self):
         cfg = ScenarioConfig("linear4", squeezing_db=-6.0, antisqueezing_db=6.0)
         result = run_sweep(cfg, "loss", 1.0, 0.0, 6)
